@@ -412,7 +412,7 @@ def per_layer(workload, traced, untraced, spans, proc_spans, tput, checks):
         "sim.slice_tail_s": (sim_tail, "s"),
         "sim.kernel_cycles_per_s": (sim_cycles / slice_s if slice_s else 0.0,
                                     "cycles/s"),
-        "sim.fleet_pool_size": (traced["fleet_pool_max"], "count"),
+        "sim.fleet_pool_size": (traced["fleet_pool_size"], "count"),
         "sim.fleet_busy_frac": (traced["fleet_busy_mean"] / THREADS, "ratio"),
         "sim.cache_hit_ratio": (cache["hits"] / lookups if lookups else 0.0,
                                 "ratio"),
@@ -511,7 +511,7 @@ def measured_run(workload, seed, seconds, binary, manifest, checks):
         "round_makespan_s": [r["makespan_s"] for r in rounds],
         "jobs_per_round": len(rounds[0]["results"]),
         "job_s_tail_is": tail(job_walls(rounds[0]))[0],
-        "fleet_pool_size": [r["fleet_pool_max"] for r in rounds],
+        "fleet_pool_size": [r["fleet_pool_size"] for r in rounds],
         "failed_per_round": [failed_jobs(r) for r in rounds],
         "errors": sorted({j["error"] for r in rounds for j in r["results"]
                           if j["state"] != "done"}),
@@ -550,8 +550,7 @@ def traced_run(workload, seed, binary, manifest, checks):
     sig = check_signatures(workload, rounds, checks, "setting/round")
     check_against_reference(workload, seed, binary, manifest, sig,
                             checks)
-    tput = invoke(binary, ["tput", "--manifest", str(manifest),
-                               "--circuits", "3", "--calls", "3"])
+    tput = invoke(binary, ["tput", "--manifest", str(manifest)])
     metrics, table = per_layer(workload, traced, untraced,
                                load_trace(trace_path), proc_spans, tput,
                                checks)

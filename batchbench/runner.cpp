@@ -12,9 +12,9 @@
 //     cross-job result cache never serves one round from another), until
 //     S seconds of rounds have run or R rounds are done. One JSON line
 //     per round, one per extra set-up sample, then a footer line.
-//   batchbench_runner tput --manifest F [--circuits C] [--calls K]
+//   batchbench_runner tput --manifest F
 //     Times core::throughput_upper_bound on the identity configuration
-//     of the manifest's first C distinct circuits, K calls each.
+//     of the manifest's first 3 distinct circuits, 3 calls each.
 //   batchbench_runner work
 //     A process-isolated fleet worker (the proc tier spawns
 //     /proc/self/exe with this argument, like `elrr work`).
@@ -22,7 +22,8 @@
 // The runner adds no instrumentation to the program: it times only its
 // own calls into each layer. With --trace it arms the program's existing
 // obs spans and records its own spans (bench.*) into the same rings, so
-// one trace file holds both.
+// one trace file holds both; a traced round also samples fleet
+// utilization on a thread of its own.
 
 #include <sys/resource.h>
 #include <time.h>
@@ -34,6 +35,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -127,14 +129,13 @@ struct JobInfo {
 };
 
 /// Samples fleet utilization from outside the program, through the
-/// public SimFleet::busy_workers() / pool_size() readings.
+/// public SimFleet::busy_workers() reading.
 class FleetSampler {
  public:
   explicit FleetSampler(const sim::SimFleet& fleet)
       : thread_([this, &fleet] {
           while (!stop_.load(std::memory_order_relaxed)) {
             busy_sum_ += static_cast<double>(fleet.busy_workers());
-            pool_max_ = std::max(pool_max_, fleet.pool_size());
             ++samples_;
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
           }
@@ -149,20 +150,17 @@ class FleetSampler {
   double mean_busy() const {
     return samples_ == 0 ? 0.0 : busy_sum_ / static_cast<double>(samples_);
   }
-  std::size_t pool_max() const { return pool_max_; }
 
  private:
   std::atomic<bool> stop_{false};
   double busy_sum_ = 0.0;
-  std::size_t pool_max_ = 0;
   std::size_t samples_ = 0;
   std::thread thread_;  // last: starts after the fields it writes exist
 };
 
 /// Records a benchmark-side span when tracing is armed.
-void bench_span(const char* name, std::int64_t start_ns, std::uint64_t arg =
-                                                             obs::kNoArg) {
-  obs::record_span(name, start_ns, obs::now_ns_if_armed(), arg);
+void bench_span(const char* name, std::int64_t start_ns) {
+  obs::record_span(name, start_ns, obs::now_ns_if_armed());
 }
 
 struct SetupResult {
@@ -174,11 +172,9 @@ struct SetupResult {
 /// the scheduler exists.
 SetupResult prepare(const std::string& manifest_path) {
   SetupResult setup;
-  std::int64_t span = obs::now_ns_if_armed();
+  const std::int64_t span = obs::now_ns_if_armed();
   const std::vector<svc::ManifestEntry> entries =
       svc::parse_manifest(io::load_text_file(manifest_path));
-  bench_span("bench.parse", span);
-  span = obs::now_ns_if_armed();
   const flow::FlowOptions base;  // defaults: the manifest sets every knob
   for (const svc::ManifestEntry& entry : entries) {
     svc::JobSpec spec = svc::materialize(entry, base);
@@ -248,36 +244,33 @@ void print_job(std::ostream& out, const svc::JobResult& r,
   out << "}";
 }
 
-/// One batch round, end to end. Prints its JSON line.
+/// One batch round, end to end. Prints its JSON line. Only a traced
+/// round samples fleet utilization, so a measured round runs no thread
+/// that `elrr batch` would not.
 void run_round(const std::string& manifest, std::size_t jobs,
-               std::size_t threads, std::size_t round) {
+               std::size_t threads, std::size_t round, bool traced) {
   const auto setup_start = Clock::now();
   SetupResult setup = prepare(manifest);
-  std::int64_t span = obs::now_ns_if_armed();
+  const std::int64_t span = obs::now_ns_if_armed();
   svc::Scheduler scheduler(scheduler_options(jobs, threads));
   bench_span("bench.start", span);
   const auto first_submit = Clock::now();
   const double cpu0 = process_cpu_seconds();
 
-  FleetSampler sampler(scheduler.fleet());
-  span = obs::now_ns_if_armed();
+  std::optional<FleetSampler> sampler;
+  if (traced) sampler.emplace(scheduler.fleet());
   std::vector<svc::JobId> ids;
   ids.reserve(setup.specs.size());
   for (svc::JobSpec& spec : setup.specs) {
     ids.push_back(scheduler.submit(std::move(spec)));
   }
   scheduler.resume();
-  bench_span("bench.submit", span);
   std::vector<svc::JobResult> results;
   results.reserve(ids.size());
-  for (const svc::JobId id : ids) {
-    span = obs::now_ns_if_armed();
-    results.push_back(scheduler.wait(id));
-    bench_span("bench.wait", span, id);
-  }
+  for (const svc::JobId id : ids) results.push_back(scheduler.wait(id));
   const auto last_result = Clock::now();
   const double cpu1 = process_cpu_seconds();
-  sampler.stop();
+  if (sampler) sampler->stop();
 
   std::ostringstream out;
   out << "{\"round\": " << round << ", \"jobs_workers\": " << jobs
@@ -286,9 +279,10 @@ void run_round(const std::string& manifest, std::size_t jobs,
       << ", \"setup_s\": " << num(seconds_between(setup_start, first_submit))
       << ", \"makespan_s\": " << num(seconds_between(first_submit, last_result))
       << ", \"cpu_s\": " << num(cpu1 - cpu0)
-      << ", \"fleet_pool_max\": " << sampler.pool_max()
-      << ", \"fleet_busy_mean\": " << num(sampler.mean_busy())
-      << ", \"stats\": " << scheduler.stats_json() << ", \"results\": [";
+      // The pool only grows, so its size now is the round's maximum.
+      << ", \"fleet_pool_size\": " << scheduler.fleet().pool_size();
+  if (sampler) out << ", \"fleet_busy_mean\": " << num(sampler->mean_busy());
+  out << ", \"stats\": " << scheduler.stats_json() << ", \"results\": [";
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i) out << ", ";
     print_job(out, results[i], setup.infos[i]);
@@ -338,7 +332,7 @@ int cmd_batch(Options& opt) {
       if (elapsed + typical > seconds) break;
     }
     const auto t0 = Clock::now();
-    run_round(manifest, jobs, threads, round);
+    run_round(manifest, jobs, threads, round, !trace.empty());
     round_s.push_back(seconds_between(t0, Clock::now()));
   }
 
@@ -365,21 +359,20 @@ int cmd_batch(Options& opt) {
 int cmd_tput(Options& opt) {
   const std::string manifest = opt.str("manifest", "");
   ELRR_REQUIRE(!manifest.empty(), "tput needs --manifest");
-  const std::size_t max_circuits = opt.count("circuits", 3);
-  const std::size_t calls = opt.count("calls", 3);
   opt.finish();
-  ELRR_REQUIRE(calls >= 1, "--calls must be >= 1");
+  constexpr std::size_t kCircuits = 3;
+  constexpr std::size_t kCalls = 3;
   const std::vector<svc::ManifestEntry> entries =
       svc::parse_manifest(io::load_text_file(manifest));
   std::set<std::pair<std::string, std::uint64_t>> seen;
   for (const svc::ManifestEntry& entry : entries) {
-    if (seen.size() >= max_circuits) break;
+    if (seen.size() >= kCircuits) break;
     const std::uint64_t seed = entry.seed.value_or(flow::FlowOptions{}.seed);
     if (!seen.insert({entry.circuit, seed}).second) continue;
     const svc::JobSpec spec = svc::materialize(entry, flow::FlowOptions{});
     std::vector<double> per_call;
     double bound = 0.0;
-    for (std::size_t k = 0; k < calls; ++k) {
+    for (std::size_t k = 0; k < kCalls; ++k) {
       const auto t0 = Clock::now();
       bound = throughput_upper_bound(spec.rrg);
       per_call.push_back(seconds_between(t0, Clock::now()));
@@ -390,7 +383,7 @@ int cmd_tput(Options& opt) {
               << ", \"edges\": " << spec.rrg.num_edges()
               << ", \"theta_bound\": " << num(bound)
               << ", \"call_s_median\": " << num(per_call[per_call.size() / 2])
-              << ", \"calls\": " << calls << "}\n";
+              << ", \"calls\": " << kCalls << "}\n";
   }
   return 0;
 }
