@@ -14,7 +14,8 @@
 /// per-circuit engine loop, bit-exactness gated the same way. The `proc`
 /// section drains the fleet workload through real process-isolated
 /// `elrr work` workers and reports the isolation overhead, with the same
-/// bit-exactness gate.
+/// bit-exactness gate. The `bnb` section times full branch & bound (three
+/// exact Pareto walks) and gates its node count exactly.
 ///
 ///   perf_smoke [output.json] [--quick] [--baseline <file.json>]
 ///
@@ -714,6 +715,67 @@ MilpRow measure_milp() {
   return row;
 }
 
+struct BnbRow {
+  double seconds = 0.0;  ///< median wall time of one pass over the walks
+  std::int64_t nodes = 0;
+  std::int64_t lp_iterations = 0;
+  std::int64_t infeasible_certified = 0;
+  std::int64_t infeasible_cold = 0;
+  bool bit_exact = false;
+};
+
+/// Branch & bound nodes of the three walks measure_bnb runs. A
+/// deterministic work counter, gated exactly: tests/lp/session_test.cpp
+/// pins the same trees per circuit.
+constexpr std::int64_t kBnbNodes = 836;
+
+/// Full branch & bound: the warm MIN_EFF_CYC Pareto walks of s208, s420
+/// and s838, every MILP solved to proven optimality -- the work the
+/// `milp` section's root relaxations leave out. Reports the median wall
+/// time of k passes plus the work counters of the search: nodes, simplex
+/// iterations, and how the infeasible nodes' verdicts were accepted
+/// (Farkas certificate vs cold re-solve). Counters must repeat exactly
+/// across passes and the node count must equal kBnbNodes.
+BnbRow measure_bnb() {
+  BnbRow row;
+  row.bit_exact = true;
+  const int passes = quick ? 1 : 5;
+  std::vector<double> seconds;
+  for (int pass = 0; pass < passes; ++pass) {
+    elrr::lp::SessionStats total;
+    const Clock::time_point t0 = Clock::now();
+    for (const char* circuit : {"s208", "s420", "s838"}) {
+      elrr::OptOptions opt;
+      opt.epsilon = 0.05;
+      opt.milp.time_limit_s = 30.0;  // never reached at these sizes
+      elrr::ParetoWalk walk(make_candidate(circuit, 1, false), opt);
+      while (walk.advance()) {
+      }
+      row.bit_exact &= walk.finish().all_exact;
+      const elrr::lp::SessionStats stats = walk.milp_stats();
+      total.nodes += stats.nodes;
+      total.lp_iterations += stats.lp_iterations;
+      total.infeasible_certified += stats.infeasible_certified;
+      total.infeasible_cold += stats.infeasible_cold;
+    }
+    seconds.push_back(seconds_since(t0));
+    if (pass > 0) {
+      row.bit_exact &= total.nodes == row.nodes &&
+                       total.lp_iterations == row.lp_iterations &&
+                       total.infeasible_certified == row.infeasible_certified &&
+                       total.infeasible_cold == row.infeasible_cold;
+    }
+    row.nodes = total.nodes;
+    row.lp_iterations = total.lp_iterations;
+    row.infeasible_certified = total.infeasible_certified;
+    row.infeasible_cold = total.infeasible_cold;
+  }
+  std::sort(seconds.begin(), seconds.end());
+  row.seconds = seconds[seconds.size() / 2];
+  row.bit_exact &= row.nodes == kBnbNodes;
+  return row;
+}
+
 /// Baseline trajectory (the previously committed BENCH_sim.json), for
 /// the embedded before/after ratios. Loaded fully before the output file
 /// is opened, so baseline and output may be the same path.
@@ -953,6 +1015,39 @@ int main(int argc, char** argv) {
       const double ratio = *prev / milp.warm_seconds;
       std::printf(", %.2fx vs baseline", ratio);
       std::snprintf(ratio_buf, sizeof(ratio_buf), "%s\"milp\": %.2f",
+                    ratios.empty() ? "" : ", ", ratio);
+      ratios += ratio_buf;
+    }
+  }
+  std::printf("\n");
+
+  const BnbRow bnb = measure_bnb();
+  all_bit_exact &= bnb.bit_exact;
+  std::fprintf(out,
+               ",\n    \"bnb\": {\"workload\": "
+               "\"full branch & bound: warm MIN_EFF_CYC walks (eps 0.05) on "
+               "s208/s420/s838, every MILP proven optimal\", "
+               "\"seconds\": %.4f, \"nodes\": %lld, "
+               "\"lp_iterations\": %lld, \"infeasible_certified\": %lld, "
+               "\"infeasible_cold\": %lld, \"bit_exact\": %s}",
+               bnb.seconds, static_cast<long long>(bnb.nodes),
+               static_cast<long long>(bnb.lp_iterations),
+               static_cast<long long>(bnb.infeasible_certified),
+               static_cast<long long>(bnb.infeasible_cold),
+               bnb.bit_exact ? "true" : "false");
+  std::printf("bnb        (3 walks): %.3fs, %lld nodes, %lld LP iterations, "
+              "%lld/%lld infeasible nodes certified/cold, %s",
+              bnb.seconds, static_cast<long long>(bnb.nodes),
+              static_cast<long long>(bnb.lp_iterations),
+              static_cast<long long>(bnb.infeasible_certified),
+              static_cast<long long>(bnb.infeasible_cold),
+              bnb.bit_exact ? "bit-exact" : "MISMATCH");
+  if (baseline) {
+    if (const auto prev =
+            elrr::bench_json::find_number(baseline->text, "bnb", "seconds")) {
+      const double ratio = *prev / bnb.seconds;
+      std::printf(", %.2fx vs baseline", ratio);
+      std::snprintf(ratio_buf, sizeof(ratio_buf), "%s\"bnb\": %.2f",
                     ratios.empty() ? "" : ", ", ratio);
       ratios += ratio_buf;
     }

@@ -61,6 +61,10 @@ struct MilpResult {
   double best_bound = 0.0;   ///< proven bound on the optimum (original sense)
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
+  /// Node LPs the dual simplex found infeasible, by how the verdict was
+  /// accepted (SimplexSolver::infeasible_certified / infeasible_cold).
+  std::int64_t infeasible_certified = 0;
+  std::int64_t infeasible_cold = 0;
   double seconds = 0.0;
 
   bool has_solution() const {

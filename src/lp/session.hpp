@@ -86,6 +86,8 @@ struct SessionStats {
   std::int64_t presolves = 0;       ///< presolve recomputations
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
+  std::int64_t infeasible_certified = 0;  ///< see MilpResult
+  std::int64_t infeasible_cold = 0;
   double solve_seconds = 0.0;
 };
 

@@ -169,6 +169,38 @@ double SimplexSolver::infeasibility() const {
   return total;
 }
 
+// Row `row` of the tableau reads x_B + sum_j t_j z_j = 0, so every
+// feasible z satisfies c.z = 0 for c = y'[A | -I], y = row `row` of B^-1.
+// Recomputing c from the original matrix keeps the tableau's drift out
+// of the proof; if c.z cannot reach 0 anywhere in the bound box, no
+// feasible point exists.
+bool SimplexSolver::farkas_certifies(int row) const {
+  // The slack block of the tableau is B^-1 (-I).
+  const double* trow = &tab_[static_cast<std::size_t>(row) * total_];
+  std::vector<double> c(static_cast<std::size_t>(total_), 0.0);
+  double y_max = 0.0;
+  for (int i = 0; i < m_; ++i) {
+    const double y = -trow[n_ + i];
+    if (y == 0.0) continue;
+    y_max = std::max(y_max, std::abs(y));
+    const double* arow = &dense_a_[static_cast<std::size_t>(i) * total_];
+    for (int j = 0; j < total_; ++j) c[j] += y * arow[j];
+  }
+  const double drop = kRatioEps * std::max(1.0, y_max);
+  double min_cz = 0.0;
+  double max_cz = 0.0;
+  double c_norm = 0.0;
+  for (int j = 0; j < total_; ++j) {
+    const double cj = c[j];
+    if (std::abs(cj) <= drop) continue;
+    c_norm += std::abs(cj);
+    min_cz += cj > 0.0 ? cj * lo_[j] : cj * hi_[j];
+    max_cz += cj > 0.0 ? cj * hi_[j] : cj * lo_[j];
+  }
+  const double margin = 2.0 * options_.feas_tol * (1.0 + c_norm);
+  return min_cz > margin || max_cz < -margin;
+}
+
 LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
   const double ftol = options_.feas_tol;
   const std::int64_t budget = iteration_budget();
@@ -450,7 +482,10 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
         entering = j;
       }
     }
-    if (entering == -1) return LpStatus::kInfeasible;
+    if (entering == -1) {
+      infeasible_row_ = row;
+      return LpStatus::kInfeasible;
+    }
 
     const double target = below ? lo_[leaving] : hi_[leaving];
     const double delta_leaving = target - value_[leaving];
@@ -518,9 +553,16 @@ LpResult SimplexSolver::resolve() {
   call_iter_base_ = iterations_;
   LpStatus status = dual_phase(deadline);
   if (status == LpStatus::kNumericError) return solve();
-  // A dual-simplex infeasibility claim prunes a branch-and-bound subtree;
-  // confirm it with a from-scratch primal solve before trusting it.
-  if (status == LpStatus::kInfeasible) return solve();
+  // A dual-simplex infeasibility claim prunes a branch-and-bound subtree:
+  // trust it on a Farkas certificate, else confirm it from scratch.
+  if (status == LpStatus::kInfeasible) {
+    if (farkas_certifies(infeasible_row_)) {
+      ++infeasible_certified_;
+      return finish(status);
+    }
+    ++infeasible_cold_;
+    return solve();
+  }
   if (status == LpStatus::kOptimal && infeasibility() > 64 * options_.feas_tol) {
     return solve();
   }

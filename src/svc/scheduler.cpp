@@ -714,8 +714,20 @@ void Scheduler::run_job(JobEntry& entry, JobStats* stats,
         Stopwatch walk_watch;
         const RcSolveResult solve = min_cyc(spec.rrg, spec.min_cyc_x, opt);
         stats->walk_seconds = walk_watch.seconds();
-        ELRR_REQUIRE(solve.feasible, "MIN_CYC(", spec.min_cyc_x,
-                     ") infeasible for '", spec.name, "'");
+        // `exact` separates a proof of infeasibility from a MILP budget
+        // that ran out before any incumbent appeared (finish_rr).
+        if (!solve.feasible) {
+          throw Error(
+              solve.exact
+                  ? detail::concat("MIN_CYC(", spec.min_cyc_x,
+                                   ") proven infeasible for '", spec.name,
+                                   "'")
+                  : detail::concat("MIN_CYC(", spec.min_cyc_x, ") for '",
+                                   spec.name,
+                                   "': no configuration found within the ",
+                                   spec.flow.milp_timeout_s,
+                                   " s MILP budget"));
+        }
         const Rrg tuned = apply_config(spec.rrg, solve.config);
         const sim::SimOptions sopt = flow::scoring_options(spec.flow);
         Stopwatch sim_watch;
@@ -884,6 +896,8 @@ std::string Scheduler::stats_json() const {
       milp.presolves += m.presolves;
       milp.nodes += m.nodes;
       milp.lp_iterations += m.lp_iterations;
+      milp.infeasible_certified += m.infeasible_certified;
+      milp.infeasible_cold += m.infeasible_cold;
       milp.solve_seconds += m.solve_seconds;
     }
   }
@@ -941,6 +955,7 @@ std::string Scheduler::stats_json() const {
                 "\"warm_roots\": %lld, \"warm_fallbacks\": %lld, "
                 "\"cold_solves\": %lld, \"presolves\": %lld, "
                 "\"nodes\": %lld, \"lp_iterations\": %lld, "
+                "\"infeasible_certified\": %lld, \"infeasible_cold\": %lld, "
                 "\"solve_seconds\": %.4f}}",
                 static_cast<long long>(milp.solves),
                 static_cast<long long>(milp.warm_attempts),
@@ -950,6 +965,8 @@ std::string Scheduler::stats_json() const {
                 static_cast<long long>(milp.presolves),
                 static_cast<long long>(milp.nodes),
                 static_cast<long long>(milp.lp_iterations),
+                static_cast<long long>(milp.infeasible_certified),
+                static_cast<long long>(milp.infeasible_cold),
                 milp.solve_seconds);
   out += buf;
   return out;

@@ -11,11 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <iterator>
+#include <sstream>
+#include <string>
 
 #include "bench89/generator.hpp"
 #include "core/opt.hpp"
 #include "lp/milp.hpp"
+#include "lp/mps.hpp"
 #include "support/failpoint.hpp"
 
 namespace elrr::lp {
@@ -200,6 +204,78 @@ TEST(MilpSession, WalkSurvivesWarmFailPointsBitExactly) {
       << stats.warm_attempts
       << " warm attempts and the fail point never fired -- not wired";
   expect_same_frontier(chaotic, oracle, "s208 under milp.warm chaos");
+}
+
+// ------------------------------------------------- search-tree identity
+
+// Pinned branch & bound trees. Certifying an infeasible node from its
+// Farkas row instead of re-solving it cold changes what one node LP
+// costs, never the verdict, so the tree -- its node count and the
+// optimum it proves -- must stay exactly as it was, and the simplex
+// iterations spent on it may only go down. The ceilings are the
+// iteration counts from when every infeasible node was re-solved cold.
+// Every infeasible node of these trees certifies: a cold re-check here
+// means the certificate has slid back.
+
+struct GoldenTree {
+  const char* file;
+  std::int64_t nodes;
+  double objective;
+  std::int64_t max_iterations;
+};
+
+const GoldenTree kGoldenTrees[] = {
+    {"s208_min_cyc_x1.mps", 39, 29.961546206663407, 942},
+    {"s420_min_cyc_x1.25.mps", 151, 52.800295013874006, 6462},
+};
+
+TEST(MilpSession, GoldenModelsKeepTheirSearchTrees) {
+  for (const GoldenTree& g : kGoldenTrees) {
+    std::ifstream in(std::string(ELRR_LP_GOLDEN_DIR) + "/" + g.file);
+    ASSERT_TRUE(in.good()) << "missing golden file " << g.file;
+    std::ostringstream text;
+    text << in.rdbuf();
+    MilpOptions options;
+    options.time_limit_s = 60.0;  // never reached
+    const MilpResult r = solve_milp(from_mps(text.str()), options);
+    ASSERT_EQ(r.status, MilpStatus::kOptimal) << g.file;
+    EXPECT_EQ(r.nodes, g.nodes) << g.file;
+    EXPECT_EQ(r.objective, g.objective) << g.file;
+    EXPECT_LE(r.lp_iterations, g.max_iterations) << g.file;
+    EXPECT_GT(r.infeasible_certified, 0) << g.file;
+    EXPECT_EQ(r.infeasible_cold, 0) << g.file;
+  }
+}
+
+struct WalkTree {
+  const char* circuit;
+  std::int64_t nodes;
+  double best_xi_lp;
+  std::int64_t max_iterations;
+};
+
+const WalkTree kWalkTrees[] = {
+    {"s208", 183, 24.942176249120333, 7145},
+    {"s420", 449, 55.077654747122189, 17571},
+    {"s838", 204, 27.693514165189313, 6115},
+};
+
+TEST(MilpSession, FullWalksKeepTheirSearchTrees) {
+  for (const WalkTree& w : kWalkTrees) {
+    const Rrg rrg =
+        bench89::make_table2_rrg(bench89::spec_by_name(w.circuit), 1);
+    ParetoWalk walk(rrg, walk_options(true));
+    while (walk.advance()) {
+    }
+    const MinEffCycResult result = walk.finish();
+    const SessionStats stats = walk.milp_stats();
+    ASSERT_TRUE(result.all_exact) << w.circuit;
+    EXPECT_EQ(stats.nodes, w.nodes) << w.circuit;
+    EXPECT_EQ(result.best().xi_lp, w.best_xi_lp) << w.circuit;
+    EXPECT_LE(stats.lp_iterations, w.max_iterations) << w.circuit;
+    EXPECT_GT(stats.infeasible_certified, 0) << w.circuit;
+    EXPECT_EQ(stats.infeasible_cold, 0) << w.circuit;
+  }
 }
 
 }  // namespace

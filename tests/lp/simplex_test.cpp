@@ -194,6 +194,58 @@ TEST(Simplex, SaveRestoreRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// Infeasibility certificates: resolve() accepts a dual-simplex
+// infeasibility verdict on a Farkas row, and re-checks it from scratch
+// only when the row does not prove it.
+
+TEST(SimplexCertificate, BoundChangeThatEmptiesTheLpIsCertified) {
+  // max x + 2y  st  x + y <= 4  ->  y = 4 basic. Lifting x to [5, 10]
+  // drives y to -1; its row y = s - x cannot rise (s sits at its upper
+  // bound 4, x at its lower bound 5), which is the whole proof.
+  Model m;
+  m.set_sense(Sense::kMaximize);
+  const int x = m.add_col(0, 10, 1.0);
+  const int y = m.add_col(0, 10, 2.0);
+  m.add_row(-kInf, 4, {{x, 1.0}, {y, 1.0}});
+  SimplexSolver solver(m);
+  const auto solved = solver.solve();
+  ASSERT_EQ(solved.status, LpStatus::kOptimal);
+
+  solver.set_col_bounds(x, 5, 10);
+  const auto r = solver.resolve();
+  EXPECT_EQ(r.status, LpStatus::kInfeasible);
+  // Only the dual simplex's own pivots -- none: the first leaving row is
+  // already its certificate, and no from-scratch solve follows.
+  EXPECT_EQ(r.iterations, solved.iterations);
+  EXPECT_EQ(solver.infeasible_certified(), 1);
+  EXPECT_EQ(solver.infeasible_cold(), 0);
+}
+
+TEST(SimplexCertificate, RowNeedingAnInfiniteBoundFallsBackToAColdSolve) {
+  // min w  st  w >= 0, w in [0, inf): optimal at the slack basis, whose
+  // row reads s = w. Zeroing w's tableau entry stands in for drift that
+  // hides a column from the ratio test: raising the row to w >= 5 then
+  // looks infeasible to the dual simplex (no entering column), but the
+  // Farkas range recomputed from the matrix needs w's infinite upper
+  // bound, so the verdict is declined and a cold solve finds w = 5.
+  Model m;
+  const int w = m.add_col(0, kInf, 1.0);
+  m.add_row(0, kInf, {{w, 1.0}});
+  SimplexSolver solver(m);
+  ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
+  SimplexSolver::State drifted = solver.save_state();
+  drifted.tab[static_cast<std::size_t>(w)] = 0.0;  // row 0, column w
+  solver.restore_state(drifted);
+
+  solver.set_row_bounds(0, 5, kInf);
+  const auto r = solver.resolve();
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 5.0, 1e-9);
+  EXPECT_EQ(solver.infeasible_certified(), 0);
+  EXPECT_EQ(solver.infeasible_cold(), 1);
+}
+
+// ---------------------------------------------------------------------------
 // Property tests on random LPs: the returned point must be feasible and its
 // objective must not be beaten by random feasible sampling. Warm-started
 // re-solves after random bound tightening must match fresh solves.
@@ -291,6 +343,45 @@ TEST_P(SimplexRandomTest, WarmResolveMatchesFresh) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomTest, ::testing::Range(0, 60));
+
+TEST(SimplexCertificate, EveryInfeasibleResolveIsInfeasibleFromScratch) {
+  // Branch & bound shaped: solve a random LP once, then from its root
+  // basis narrow a few columns to random sub-ranges (often past what the
+  // rows allow) and dual-resolve. Every infeasible verdict, certified or
+  // re-checked, must match a fresh engine's from-scratch solve.
+  std::int64_t verdicts = 0;
+  std::int64_t certified = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    elrr::Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 5);
+    const int n_cols = 2 + static_cast<int>(rng.uniform_int(0, 5));
+    const int n_rows = 1 + static_cast<int>(rng.uniform_int(0, 6));
+    const Model m = random_bounded_lp(rng, n_cols, n_rows);
+    SimplexSolver warm(m);
+    if (warm.solve().status != LpStatus::kOptimal) continue;
+    const SimplexSolver::State root = warm.save_state();
+    for (int trial = 0; trial < 8; ++trial) {
+      warm.restore_state(root);
+      Model node = m;
+      const int changes = 1 + static_cast<int>(rng.uniform_int(0, 2));
+      for (int k = 0; k < changes; ++k) {
+        const int j = static_cast<int>(rng.uniform_int(0, n_cols - 1));
+        const Column& c = node.col(j);
+        const double lo = rng.uniform(c.lo, c.hi);
+        const double hi = rng.uniform(lo, c.hi);
+        node.set_col_bounds(j, lo, hi);
+        warm.set_col_bounds(j, lo, hi);
+      }
+      if (warm.resolve().status != LpStatus::kInfeasible) continue;
+      ++verdicts;
+      SimplexSolver fresh(node);
+      EXPECT_EQ(fresh.solve().status, LpStatus::kInfeasible)
+          << "seed " << seed << " trial " << trial;
+    }
+    certified += warm.infeasible_certified();
+  }
+  EXPECT_GT(verdicts, 0);
+  EXPECT_GT(certified, 0);
+}
 
 }  // namespace
 }  // namespace elrr::lp

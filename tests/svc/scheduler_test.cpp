@@ -416,6 +416,52 @@ TEST(Scheduler, FailedJobReportsErrorAndServiceContinues) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
+/// A failed MIN_CYC job says which failure it is: "proven infeasible"
+/// only when the MILP proved it, and a budget that ran out before any
+/// incumbent appeared names that budget instead.
+TEST(Scheduler, MinCycFailureSaysProvenInfeasibleOnlyWhenProven) {
+  // A telescopic simple node caps throughput at 1 / (1 + service) = 1/2,
+  // so MIN_CYC(1) has no solution -- and the MILP proves it.
+  Rrg slowed = circuit("s208");
+  NodeId slow = 0;
+  while (slowed.is_early(slow)) ++slow;
+  slowed.set_telescopic(slow, 0.5, 2);
+
+  Scheduler scheduler{SchedulerOptions{}};
+  JobSpec proven;
+  proven.name = "s208-slowed";
+  proven.rrg = slowed;
+  proven.flow = fast_flow();
+  proven.mode = JobMode::kMinCyc;
+  proven.min_cyc_x = 1.0;
+  const JobResult infeasible = scheduler.wait(scheduler.submit(std::move(proven)));
+  ASSERT_EQ(infeasible.state, JobState::kFailed);
+  EXPECT_NE(infeasible.error.find("MIN_CYC(1) proven infeasible for "
+                                  "'s208-slowed'"),
+            std::string::npos)
+      << infeasible.error;
+
+  // s526 MIN_CYC(1.3) finds no incumbent within a 1 s budget (the
+  // budget_walk benchmark job); 0.05 s leaves it far short of one.
+  JobSpec budgeted;
+  budgeted.name = "s526-budget";
+  budgeted.rrg = circuit("s526");
+  budgeted.flow = fast_flow();
+  budgeted.flow.milp_timeout_s = 0.05;
+  budgeted.mode = JobMode::kMinCyc;
+  budgeted.min_cyc_x = 1.3;
+  const JobResult out_of_budget =
+      scheduler.wait(scheduler.submit(std::move(budgeted)));
+  ASSERT_EQ(out_of_budget.state, JobState::kFailed);
+  EXPECT_NE(out_of_budget.error.find(
+                "MIN_CYC(1.3) for 's526-budget': no configuration found "
+                "within the 0.05 s MILP budget"),
+            std::string::npos)
+      << out_of_budget.error;
+  EXPECT_EQ(out_of_budget.error.find("infeasible"), std::string::npos)
+      << out_of_budget.error;
+}
+
 /// Submitting invalid specs throws eagerly (never enqueues).
 TEST(Scheduler, SubmitValidation) {
   Scheduler scheduler{SchedulerOptions{}};

@@ -160,6 +160,10 @@ TEST_F(StatsSnapshotTest, TerminalSnapshotShowsTheFinalState) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("\"milp\""), std::string::npos) << text;
+  // A score-only job runs no MILP: both infeasible-node counters are 0.
+  EXPECT_NE(text.find("\"infeasible_certified\": 0, \"infeasible_cold\": 0"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("\"obs\": {"), std::string::npos) << text;
   EXPECT_NE(text.find("\"dropped_spans\": "), std::string::npos) << text;
   EXPECT_NE(text.find("\"ring_capacity\": "), std::string::npos) << text;
