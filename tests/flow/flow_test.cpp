@@ -28,8 +28,10 @@ FlowOptions fast_options(std::uint64_t seed) {
   return options;
 }
 
+// The circuit name is a std::string, not a const char*, so the test name
+// gtest prints for each case is the name itself rather than an address.
 class FlowInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(FlowInvariants, HoldOnSmallCircuits) {
   const auto& [name, seed] = GetParam();

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
@@ -119,8 +121,10 @@ TEST(Heuristic, RejectsNonStronglyConnected) {
   EXPECT_THROW(heur_eff_cyc(rrg), InvalidInputError);
 }
 
+// std::string, not const char*: the printed case name must not be an
+// address, which changes from run to run.
 class HeuristicSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(HeuristicSweep, WellFormedOnSyntheticCircuits) {
   const auto& [name, seed] = GetParam();
