@@ -15,7 +15,9 @@
 /// section drains the fleet workload through real process-isolated
 /// `elrr work` workers and reports the isolation overhead, with the same
 /// bit-exactness gate. The `bnb` section times full branch & bound (three
-/// exact Pareto walks) and gates its node count exactly.
+/// exact Pareto walks) and gates its node count exactly; the `tput`
+/// section times the heuristic's cold throughput LPs and gates their
+/// simplex iterations exactly.
 ///
 ///   perf_smoke [output.json] [--quick] [--baseline <file.json>]
 ///
@@ -49,10 +51,12 @@
 
 #include "bench89/generator.hpp"
 #include "core/opt.hpp"
+#include "core/tgmg.hpp"
 #include "flow/circuit_flow.hpp"
 #include "flow/engine.hpp"
 #include "io/rrg_format.hpp"
 #include "lp/session.hpp"
+#include "lp/simplex.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sim/fleet.hpp"
@@ -776,6 +780,57 @@ BnbRow measure_bnb() {
   return row;
 }
 
+struct TputRow {
+  double seconds = 0.0;  ///< median wall time of one pass over the LPs
+  std::int64_t lp_iterations = 0;
+  bool bit_exact = false;
+};
+
+/// Simplex iterations of the three cold throughput LPs measure_tput
+/// solves. Gated exactly: tests/lp/simplex_test.cpp pins each LP's count.
+constexpr std::int64_t kTputIterations = 765;
+
+/// The heuristic's probe: a cold throughput LP (11) -- TGMG refinement,
+/// model build and one simplex solve, what throughput_upper_bound does
+/// -- on the identity configurations of generated s953, s641 and s344
+/// (seed 1), the circuits that run heuristic-only. Reports the median
+/// wall time of k passes and the simplex iterations, which must repeat
+/// across passes and equal kTputIterations; every theta must equal
+/// throughput_upper_bound's bit for bit.
+TputRow measure_tput() {
+  TputRow row;
+  row.bit_exact = true;
+  std::vector<elrr::Rrg> rrgs;
+  for (const char* circuit : {"s953", "s641", "s344"}) {
+    rrgs.push_back(make_candidate(circuit, 1, false));
+  }
+  const int passes = quick ? 1 : 5;
+  std::vector<double> seconds;
+  for (int pass = 0; pass < passes; ++pass) {
+    std::int64_t iterations = 0;
+    std::vector<double> thetas;
+    const Clock::time_point t0 = Clock::now();
+    for (const elrr::Rrg& rrg : rrgs) {
+      elrr::lp::SimplexSolver solver(
+          elrr::build_throughput_lp(elrr::refined_tgmg(rrg)).model);
+      const elrr::lp::LpResult result = solver.solve();
+      row.bit_exact &= result.status == elrr::lp::LpStatus::kOptimal;
+      iterations += solver.total_iterations();
+      thetas.push_back(result.objective);
+    }
+    seconds.push_back(seconds_since(t0));
+    for (std::size_t i = 0; i < rrgs.size(); ++i) {
+      row.bit_exact &= thetas[i] == elrr::throughput_upper_bound(rrgs[i]);
+    }
+    if (pass > 0) row.bit_exact &= iterations == row.lp_iterations;
+    row.lp_iterations = iterations;
+  }
+  std::sort(seconds.begin(), seconds.end());
+  row.seconds = seconds[seconds.size() / 2];
+  row.bit_exact &= row.lp_iterations == kTputIterations;
+  return row;
+}
+
 /// Baseline trajectory (the previously committed BENCH_sim.json), for
 /// the embedded before/after ratios. Loaded fully before the output file
 /// is opened, so baseline and output may be the same path.
@@ -1048,6 +1103,31 @@ int main(int argc, char** argv) {
       const double ratio = *prev / bnb.seconds;
       std::printf(", %.2fx vs baseline", ratio);
       std::snprintf(ratio_buf, sizeof(ratio_buf), "%s\"bnb\": %.2f",
+                    ratios.empty() ? "" : ", ", ratio);
+      ratios += ratio_buf;
+    }
+  }
+  std::printf("\n");
+
+  const TputRow tput = measure_tput();
+  all_bit_exact &= tput.bit_exact;
+  std::fprintf(out,
+               ",\n    \"tput\": {\"workload\": "
+               "\"cold throughput LPs (11) of the identity configurations "
+               "of s953/s641/s344, the heuristic's probe\", "
+               "\"seconds\": %.4f, \"lp_iterations\": %lld, "
+               "\"bit_exact\": %s}",
+               tput.seconds, static_cast<long long>(tput.lp_iterations),
+               tput.bit_exact ? "true" : "false");
+  std::printf("tput       (3 LPs): %.4fs, %lld LP iterations, %s",
+              tput.seconds, static_cast<long long>(tput.lp_iterations),
+              tput.bit_exact ? "bit-exact" : "MISMATCH");
+  if (baseline) {
+    if (const auto prev =
+            elrr::bench_json::find_number(baseline->text, "tput", "seconds")) {
+      const double ratio = *prev / tput.seconds;
+      std::printf(", %.2fx vs baseline", ratio);
+      std::snprintf(ratio_buf, sizeof(ratio_buf), "%s\"tput\": %.2f",
                     ratios.empty() ? "" : ", ", ratio);
       ratios += ratio_buf;
     }

@@ -15,11 +15,11 @@
 
 namespace elrr::flow {
 
-namespace {
-
-/// Heuristic budget scaled to the instance: every probe solves one
-/// throughput LP whose cost grows ~quadratically with the edge count,
-/// so dense circuits get fewer, cheaper-in-total probes.
+// Every probe solves one throughput LP of about two rows per edge. The
+// simplex pivot skips the zeros of those sparse LPs, so a probe costs far
+// less than its dense tableau suggests; the budgets below still stay
+// where they are, because a larger budget visits more candidates and so
+// changes the answers.
 HeuristicOptions scaled_heuristic(const Rrg& rrg) {
   HeuristicOptions hopt;
   const std::size_t edges = rrg.num_edges();
@@ -36,8 +36,6 @@ HeuristicOptions scaled_heuristic(const Rrg& rrg) {
   }
   return hopt;
 }
-
-}  // namespace
 
 FlowOptions FlowOptions::from_env() {
   constexpr std::uint64_t kNoCap = ~std::uint64_t{0};

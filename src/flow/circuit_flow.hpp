@@ -52,6 +52,7 @@
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
 #include "core/opt.hpp"
+#include "heur/heuristic.hpp"
 #include "lp/session.hpp"
 #include "sim/fleet.hpp"
 #include "sim/simulator.hpp"
@@ -166,6 +167,11 @@ struct CircuitResult {
 /// MIN_CYC jobs simulate with the *identical* options -- their fleet
 /// submissions then dedup against flow jobs of the same circuit.
 sim::SimOptions scoring_options(const FlowOptions& options);
+
+/// Heuristic budget scaled to the instance: larger circuits get fewer
+/// throughput-LP probes (80 above 350 edges, 300 above 150 edges, the
+/// defaults below), spread over fewer, narrower rounds.
+HeuristicOptions scaled_heuristic(const Rrg& rrg);
 
 /// Runs the full flow on an RRG (already strongly connected and live).
 CircuitResult run_flow(const std::string& name, const Rrg& rrg,

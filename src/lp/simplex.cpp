@@ -1,7 +1,12 @@
 #include "lp/simplex.hpp"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
+#include <new>
+#include <utility>
 
 namespace elrr::lp {
 
@@ -9,7 +14,68 @@ namespace {
 constexpr double kRatioEps = 1e-9;   // |alpha| below this never blocks
 constexpr double kTieTol = 1e-9;     // Harris-style tie window in the ratio test
 constexpr std::int64_t kBlandTrigger = 512;  // degenerate steps before Bland
+constexpr int kSpanGap = 8;  // zero runs this long split a pivot-row span
+
+// A tableau block is one anonymous mapping whose first kBlockHeader
+// bytes hold the mapping's length. Under AddressSanitizer everything in
+// a block but its length word and the tableau in use is poisoned, so the
+// sweep still catches overruns and use after release.
+constexpr std::size_t kBlockHeader = 64;
+constexpr std::size_t kPageBytes = 4096;
+
+std::size_t block_length(void* base) {
+  return *static_cast<std::size_t*>(base);
+}
+
+void unmap_block(void* base) {
+  const std::size_t length = block_length(base);
+  ASAN_UNPOISON_MEMORY_REGION(base, length);
+  ::munmap(base, length);
+}
+
+struct SpareBlock {
+  void* base = nullptr;
+  ~SpareBlock() {
+    if (base != nullptr) unmap_block(base);
+  }
+};
+thread_local SpareBlock spare_block;
 }  // namespace
+
+// The heuristic builds and drops one tableau of a few MB per probe. From
+// malloc, such blocks raise glibc's mmap threshold and then stay resident
+// in every per-thread arena a solving thread ever used; mapped here, a
+// thread reuses one block and returns it to the system when it exits.
+void* detail::acquire_tableau(std::size_t bytes) {
+  SpareBlock& spare = spare_block;
+  void* base = nullptr;
+  if (spare.base != nullptr &&
+      block_length(spare.base) - kBlockHeader >= bytes) {
+    base = std::exchange(spare.base, nullptr);
+  } else {
+    const std::size_t length =
+        (bytes + kBlockHeader + kPageBytes - 1) / kPageBytes * kPageBytes;
+    base = ::mmap(nullptr, length, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    *static_cast<std::size_t*>(base) = length;
+  }
+  char* block = static_cast<char*>(base);
+  ASAN_POISON_MEMORY_REGION(block + sizeof(std::size_t),
+                            block_length(base) - sizeof(std::size_t));
+  ASAN_UNPOISON_MEMORY_REGION(block + kBlockHeader, bytes);
+  return block + kBlockHeader;
+}
+
+void detail::release_tableau(void* data) noexcept {
+  void* base = static_cast<char*>(data) - kBlockHeader;
+  ASAN_POISON_MEMORY_REGION(data, block_length(base) - kBlockHeader);
+  SpareBlock& spare = spare_block;
+  if (spare.base == nullptr || block_length(spare.base) < block_length(base)) {
+    std::swap(spare.base, base);
+  }
+  if (base != nullptr) unmap_block(base);
+}
 
 const char* to_string(LpStatus status) {
   switch (status) {
@@ -39,17 +105,18 @@ SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
     lo_[j] = model.col(j).lo;
     hi_[j] = model.col(j).hi;
   }
-  dense_a_.assign(static_cast<std::size_t>(m_) * total_, 0.0);
+  a_start_.reserve(static_cast<std::size_t>(m_) + 1);
+  a_start_.push_back(0);
   for (int i = 0; i < m_; ++i) {
     const Row& row = model.row(i);
-    for (const auto& entry : row.entries) {
-      dense_a_[static_cast<std::size_t>(i) * total_ + entry.col] = entry.coef;
-    }
+    for (const auto& entry : row.entries) a_entries_.push_back(entry);
+    a_start_.push_back(static_cast<int>(a_entries_.size()));
     const int slack = n_ + i;
-    dense_a_[static_cast<std::size_t>(i) * total_ + slack] = -1.0;
     lo_[slack] = row.lo;
     hi_[slack] = row.hi;
   }
+  col_nz_.reserve(static_cast<std::size_t>(m_));
+  row_spans_.reserve(static_cast<std::size_t>(total_));
 }
 
 std::int64_t SimplexSolver::iteration_budget() const {
@@ -59,8 +126,13 @@ std::int64_t SimplexSolver::iteration_budget() const {
 
 void SimplexSolver::build_initial_basis() {
   // Slack basis: B = -I, hence tab = B^-1 [A|-I] = [-A | I].
-  tab_.assign(dense_a_.size(), 0.0);
-  for (std::size_t k = 0; k < dense_a_.size(); ++k) tab_[k] = -dense_a_[k];
+  tab_.assign(static_cast<std::size_t>(m_) * total_, 0.0);
+  for (int i = 0; i < m_; ++i) {
+    for (int k = a_start_[i]; k < a_start_[i + 1]; ++k) {
+      tab(i, a_entries_[k].col) = -a_entries_[k].coef;
+    }
+    tab(i, n_ + i) = 1.0;
+  }
 
   basis_.resize(m_);
   where_.assign(total_, Where::kAtLower);
@@ -133,23 +205,52 @@ bool SimplexSolver::is_dual_feasible() const {
   return true;
 }
 
+void SimplexSolver::gather_column(int col) {
+  col_nz_.clear();
+  const double* entry = &tab_[static_cast<std::size_t>(col)];
+  for (int i = 0; i < m_; ++i, entry += total_) {
+    if (*entry != 0.0) col_nz_.push_back(i);
+  }
+}
+
+// Only the spans of the pivot row that hold its nonzeros are updated, and
+// only in the rows with a nonzero in the entering column: everything
+// else would subtract zero. A run of fewer than kSpanGap zeros between
+// two nonzeros joins their spans, since updating a zero entry leaves it
+// as it was and a longer contiguous span vectorizes. Each nonzero entry
+// sees the same operations, in the same order, as in a full dense
+// update.
 void SimplexSolver::pivot(int row, int col) {
   double* prow = &tab_[static_cast<std::size_t>(row) * total_];
   const double inv = 1.0 / prow[col];
-  for (int j = 0; j < total_; ++j) prow[j] *= inv;
+  row_spans_.clear();
+  for (int j = 0; j < total_; ++j) {
+    prow[j] *= inv;
+    if (prow[j] == 0.0) continue;
+    if (!row_spans_.empty() && j - row_spans_.back().end < kSpanGap) {
+      row_spans_.back().end = j + 1;
+    } else {
+      row_spans_.push_back({j, j + 1});
+    }
+  }
   prow[col] = 1.0;
-  for (int i = 0; i < m_; ++i) {
+  for (const int i : col_nz_) {
     if (i == row) continue;
     double* irow = &tab_[static_cast<std::size_t>(i) * total_];
     const double factor = irow[col];
-    if (factor == 0.0) continue;
-    for (int j = 0; j < total_; ++j) irow[j] -= factor * prow[j];
+    for (const Span& span : row_spans_) {
+      for (int j = span.begin; j < span.end; ++j) irow[j] -= factor * prow[j];
+    }
     irow[col] = 0.0;
   }
   if (dj_valid_) {
     const double factor = dj_[col];
     if (factor != 0.0) {
-      for (int j = 0; j < total_; ++j) dj_[j] -= factor * prow[j];
+      for (const Span& span : row_spans_) {
+        for (int j = span.begin; j < span.end; ++j) {
+          dj_[j] -= factor * prow[j];
+        }
+      }
       dj_[col] = 0.0;
     }
   }
@@ -183,8 +284,10 @@ bool SimplexSolver::farkas_certifies(int row) const {
     const double y = -trow[n_ + i];
     if (y == 0.0) continue;
     y_max = std::max(y_max, std::abs(y));
-    const double* arow = &dense_a_[static_cast<std::size_t>(i) * total_];
-    for (int j = 0; j < total_; ++j) c[j] += y * arow[j];
+    for (int k = a_start_[i]; k < a_start_[i + 1]; ++k) {
+      c[a_entries_[k].col] += y * a_entries_[k].coef;
+    }
+    c[n_ + i] += y * -1.0;  // the row's slack column of -I
   }
   const double drop = kRatioEps * std::max(1.0, y_max);
   double min_cz = 0.0;
@@ -260,7 +363,8 @@ LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
     const double own_range = hi_[entering] - lo_[entering];
     if (std::isfinite(own_range)) t_best = own_range;
 
-    for (int i = 0; i < m_; ++i) {
+    gather_column(entering);
+    for (const int i : col_nz_) {
       const double alpha = tab(i, entering);
       if (std::abs(alpha) <= kRatioEps) continue;
       const double g = -dir * alpha;  // growth rate of basic i w.r.t. step
@@ -291,9 +395,8 @@ LpStatus SimplexSolver::primal_phase1(const Deadline& deadline) {
     // Apply the step.
     const double step = t_best;
     if (step != 0.0) {
-      for (int i = 0; i < m_; ++i) {
-        const double alpha = tab(i, entering);
-        if (alpha != 0.0) value_[basis_[i]] -= dir * alpha * step;
+      for (const int i : col_nz_) {
+        value_[basis_[i]] -= dir * tab(i, entering) * step;
       }
       value_[entering] += dir * step;
       degenerate_streak_ = 0;
@@ -366,7 +469,8 @@ LpStatus SimplexSolver::primal_phase2(const Deadline& deadline) {
     const double own_range = hi_[entering] - lo_[entering];
     if (std::isfinite(own_range)) t_best = own_range;
 
-    for (int i = 0; i < m_; ++i) {
+    gather_column(entering);
+    for (const int i : col_nz_) {
       const double alpha = tab(i, entering);
       if (std::abs(alpha) <= kRatioEps) continue;
       const double g = -dir * alpha;
@@ -392,9 +496,8 @@ LpStatus SimplexSolver::primal_phase2(const Deadline& deadline) {
 
     const double step = t_best;
     if (step != 0.0) {
-      for (int i = 0; i < m_; ++i) {
-        const double alpha = tab(i, entering);
-        if (alpha != 0.0) value_[basis_[i]] -= dir * alpha * step;
+      for (const int i : col_nz_) {
+        value_[basis_[i]] -= dir * tab(i, entering) * step;
       }
       value_[entering] += dir * step;
       degenerate_streak_ = 0;
@@ -491,10 +594,9 @@ LpStatus SimplexSolver::dual_phase(const Deadline& deadline) {
     const double delta_leaving = target - value_[leaving];
     const double delta_entering = -delta_leaving / alpha[entering];
 
-    for (int i = 0; i < m_; ++i) {
-      if (i == row) continue;
-      const double a = tab(i, entering);
-      if (a != 0.0) value_[basis_[i]] -= a * delta_entering;
+    gather_column(entering);
+    for (const int i : col_nz_) {
+      if (i != row) value_[basis_[i]] -= tab(i, entering) * delta_entering;
     }
     value_[entering] += delta_entering;
     value_[leaving] = target;
@@ -638,7 +740,7 @@ void SimplexSolver::set_bounds_impl(int col, double lo, double hi) {
 
 SimplexSolver::State SimplexSolver::save_state() const {
   State s;
-  s.tab = tab_;
+  s.tab.assign(tab_.begin(), tab_.end());
   s.basis = basis_;
   s.where = where_;
   s.value = value_;
@@ -650,7 +752,7 @@ SimplexSolver::State SimplexSolver::save_state() const {
 }
 
 void SimplexSolver::restore_state(const State& state) {
-  tab_ = state.tab;
+  tab_.assign(state.tab.begin(), state.tab.end());
   basis_ = state.basis;
   where_ = state.where;
   value_ = state.value;

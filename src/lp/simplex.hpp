@@ -23,10 +23,28 @@
 ///    Entries |c_j| <= 1e-9 max(1, |y|_inf) count as zero, the size the
 ///    ratio tests already ignore. A row that does not certify falls back
 ///    to a from-scratch `solve()`; both outcomes are counted.
+///  * The tableau is stored dense but pivoted sparse. Each iteration
+///    gathers the nonzero rows of the entering column once; the ratio
+///    test, the value update and the pivot walk that list. The pivot
+///    scales the pivot row while covering its nonzeros with column spans
+///    (zero runs shorter than 8 entries are bridged, so spans stay long
+///    enough to vectorize on dense rows), then updates only those spans,
+///    in the rows of that list and in the reduced costs. Every nonzero
+///    entry gets the same floating-point operations in the same order as
+///    in a full dense update, so pivots, iteration counts and answers are
+///    bit-identical to it; only the sign of a zero entry may differ,
+///    which no comparison observes.
+///  * Memory: the original matrix is kept by rows (only the tableau is
+///    dense), and the tableau lives in page-mapped blocks outside the
+///    malloc heap (detail::TableauAllocator). A heuristic probe builds
+///    and drops a tableau of a few MB; each thread reuses one block for
+///    the next and unmaps it when the thread exits.
 ///
-/// Suitable for the dense, medium-size MILPs of the DAC'09 flow
-/// (hundreds to a few thousands of rows). Not a sparse industrial code.
+/// Suitable for the medium-size LPs and MILPs of the DAC'09 flow
+/// (hundreds to a few thousands of rows). Not a sparse industrial code:
+/// the tableau stays m x (n + m) and is never refactorized.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +52,29 @@
 #include "support/stopwatch.hpp"
 
 namespace elrr::lp {
+
+namespace detail {
+/// Page-mapped storage for tableaux, outside the malloc heap. Each thread
+/// keeps the largest block it released and hands it to its next
+/// tableau that fits; the block is unmapped when the thread exits.
+void* acquire_tableau(std::size_t bytes);
+void release_tableau(void* data) noexcept;
+
+template <class T>
+struct TableauAllocator {
+  using value_type = T;
+  TableauAllocator() = default;
+  template <class U>
+  TableauAllocator(const TableauAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(acquire_tableau(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t) noexcept { release_tableau(p); }
+  friend bool operator==(const TableauAllocator&, const TableauAllocator&) {
+    return true;
+  }
+};
+}  // namespace detail
 
 enum class LpStatus {
   kOptimal,
@@ -116,10 +157,14 @@ class SimplexSolver {
   std::vector<double> lo_, hi_; ///< bounds, size total_
   double sense_flip_ = 1.0;     ///< -1 when the model maximizes
   SimplexOptions options_;
-  std::vector<double> dense_a_; ///< m_ x total_ original matrix [A | -I]
+  /// Original matrix A by rows (the -I slack block is implicit): row i
+  /// holds a_entries_[a_start_[i] .. a_start_[i + 1]).
+  std::vector<int> a_start_;
+  std::vector<ColEntry> a_entries_;
 
   // --- engine state ---
-  std::vector<double> tab_;     ///< m_ x total_ current tableau B^-1 [A|-I]
+  /// m_ x total_ current tableau B^-1 [A|-I]
+  std::vector<double, detail::TableauAllocator<double>> tab_;
   std::vector<int> basis_;      ///< size m_, variable basic in each row
   std::vector<Where> where_;    ///< size total_
   std::vector<double> value_;   ///< size total_, current values
@@ -133,15 +178,29 @@ class SimplexSolver {
   std::int64_t infeasible_certified_ = 0;
   std::int64_t infeasible_cold_ = 0;
 
+  // --- pivot scratch (reserved at construction, reused by every pivot) ---
+  std::vector<int> col_nz_;   ///< rows with a nonzero in the entering column
+  /// Column range [begin, end) of the scaled pivot row.
+  struct Span {
+    int begin;
+    int end;
+  };
+  std::vector<Span> row_spans_;  ///< spans covering the pivot row's nonzeros
+
   double& tab(int i, int j) { return tab_[static_cast<std::size_t>(i) * total_ + j]; }
   double tab(int i, int j) const { return tab_[static_cast<std::size_t>(i) * total_ + j]; }
-  double dense_a(int i, int j) const { return dense_a_[static_cast<std::size_t>(i) * total_ + j]; }
 
   void set_bounds_impl(int idx, double lo, double hi);
   void build_initial_basis();
   void compute_basic_values();
   void compute_reduced_costs();
   bool is_dual_feasible() const;
+  /// Collects the rows with a nonzero in column `col` into col_nz_, in
+  /// increasing order. Every column scan of an iteration (ratio test,
+  /// value update, pivot) walks that list.
+  void gather_column(int col);
+  /// Pivots `col` into the basis at `row`; col_nz_ must hold the
+  /// nonzero rows of `col` (gather_column).
   void pivot(int row, int col);
   double infeasibility() const;
   bool farkas_certifies(int row) const;

@@ -451,6 +451,13 @@ struct FleetCore {
   std::uint64_t proc_redispatches = 0;
   std::uint64_t proc_postmortems = 0;  ///< crashed-worker dumps harvested
 
+  /// Pool slots executing a slice right now (under `mutex`).
+  std::size_t busy_workers() const {
+    return static_cast<std::size_t>(std::count_if(
+        beats.begin(), beats.end(),
+        [](const WorkerBeat& beat) { return beat.busy; }));
+  }
+
   /// Drops a job's dedup-cache entry (if present) under `mutex`. Both
   /// failure paths route through here: a failed job must not replay its
   /// failure to re-submissions, and a job whose worker process crashed
@@ -1067,7 +1074,9 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
     const std::lock_guard<std::mutex> lock(core.mutex);
     fresh->remaining = slices.size();
     for (QueueEntry& slice : slices) core.queue.push_back(std::move(slice));
-    backlog = core.queue.size();
+    // Slices already claimed by a pool thread still occupy it: count
+    // them, or a lone in-flight slice hides the need for a second thread.
+    backlog = core.queue.size() + core.busy_workers();
     ticket = SimTicket{core.next_ticket++, /*fresh=*/true};
     core.tickets.emplace(ticket.id, fresh);
     if (reserved_key != nullptr) {
@@ -1079,9 +1088,10 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
     }
   }
   // Async work always runs on the pool (that is the point: the caller's
-  // thread keeps optimizing); grow it to cover the queued backlog up to
-  // the configured width. 0 = hardware concurrency, queried once. In
-  // proc mode the pool is the supervisor set, one worker process each.
+  // thread keeps optimizing); grow it to cover the backlog -- queued plus
+  // running slices -- up to the configured width. 0 = hardware
+  // concurrency, queried once. In proc mode the pool is the supervisor
+  // set, one worker process each.
   ensure_pool(
       proc_workers_ > 0
           ? resolve_worker_count(proc_workers_, 0, backlog)
@@ -1224,11 +1234,7 @@ ProcFleetStats SimFleet::proc_stats() const {
 std::size_t SimFleet::busy_workers() const {
   FleetCore& core = *core_;
   const std::lock_guard<std::mutex> lock(core.mutex);
-  std::size_t busy = 0;
-  for (const FleetCore::WorkerBeat& beat : core.beats) {
-    if (beat.busy) ++busy;
-  }
-  return busy;
+  return core.busy_workers();
 }
 
 std::vector<int> SimFleet::proc_worker_pids() const {

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
+#include "flow/circuit_flow.hpp"
 #include "support/error.hpp"
 
 namespace elrr {
@@ -119,6 +121,22 @@ TEST(Heuristic, RejectsNonStronglyConnected) {
   const NodeId b = rrg.add_node("b", 1.0);
   rrg.add_edge(a, b, 1, 1);
   EXPECT_THROW(heur_eff_cyc(rrg), InvalidInputError);
+}
+
+TEST(Heuristic, PinnedRunOnGeneratedS344) {
+  // One heuristic run of the batch flow's heuristic-only path, pinned
+  // end to end: every probe is a throughput LP, so the number of probes,
+  // the frontier and the best point's xi_lp (to the last bit) change if
+  // any LP's pivots do.
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s344"), 1);
+  const HeuristicOptions opt = flow::scaled_heuristic(rrg);
+  ASSERT_EQ(opt.max_lp_evals, 300);  // the 150 < edges <= 350 class
+  const HeuristicResult result = heur_eff_cyc(rrg, opt);
+  char best_xi[40];
+  std::snprintf(best_xi, sizeof(best_xi), "%a", result.best().xi_lp);
+  EXPECT_EQ(result.lp_evals, 295);
+  EXPECT_EQ(result.points.size(), 2u);
+  EXPECT_EQ(std::string(best_xi), "0x1.2172fc5c76c48p+6");
 }
 
 // std::string, not const char*: the printed case name must not be an

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
+#include "bench89/generator.hpp"
+#include "core/rrg.hpp"
+#include "core/tgmg.hpp"
 #include "support/rng.hpp"
 
 namespace elrr::lp {
@@ -381,6 +388,148 @@ TEST(SimplexCertificate, EveryInfeasibleResolveIsInfeasibleFromScratch) {
   }
   EXPECT_GT(verdicts, 0);
   EXPECT_GT(certified, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned arithmetic. The pivot kernel skips the zeros of the pivot row and
+// of the entering column; every nonzero entry must still see exactly the
+// floating-point operations, in the same order, that the full dense
+// update gave it. A cold solve's theta and iteration count are
+// functions of every one of those operations, so they are pinned to the
+// values the dense kernel produced.
+
+std::string hex(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+struct ThroughputPin {
+  const char* circuit;
+  bool bubbled;
+  double theta;
+  std::int64_t iterations;
+};
+
+TEST(SimplexPinned, ThroughputLpsOfTheHeuristicsLargestCircuits) {
+  // The throughput LP (11) of each generated circuit (seed 1), as the
+  // heuristic's probes build it: at the identity configuration (theta 1)
+  // and with one empty buffer added on every fifth edge, which pulls
+  // theta below 1 the way the heuristic's bubble insertion does.
+  const ThroughputPin pins[] = {
+      {"s953", false, 0x1p+0, 362},
+      {"s641", false, 0x1p+0, 160},
+      {"s344", false, 0x1p+0, 243},
+      {"s953", true, 0x1.28675340f499cp-2, 538},
+      {"s641", true, 0x1.5555555555556p-2, 262},
+      {"s344", true, 0x1.ca10e6f8c4705p-2, 241},
+  };
+  for (const ThroughputPin& pin : pins) {
+    const Rrg rrg =
+        bench89::make_table2_rrg(bench89::spec_by_name(pin.circuit), 1);
+    RrConfig config = initial_config(rrg);
+    if (pin.bubbled) {
+      for (std::size_t e = 0; e < config.buffers.size(); e += 5) {
+        ++config.buffers[e];
+      }
+    }
+    const Model model =
+        build_throughput_lp(refined_tgmg(apply_config(rrg, config))).model;
+    SimplexSolver solver(model);
+    const LpResult r = solver.solve();
+    const std::string label =
+        std::string(pin.circuit) + (pin.bubbled ? " bubbled" : " identity");
+    ASSERT_EQ(r.status, LpStatus::kOptimal) << label;
+    EXPECT_EQ(hex(r.objective), hex(pin.theta)) << label;
+    EXPECT_EQ(solver.total_iterations(), pin.iterations) << label;
+  }
+}
+
+Model random_sparse_lp(elrr::Rng& rng, int n_cols, int n_rows) {
+  // Feasible by construction: every row holds at a random point x0 of
+  // the column box, so only the bound changes can empty the LP.
+  Model m;
+  if (rng.bernoulli(0.5)) m.set_sense(Sense::kMaximize);
+  std::vector<double> x0;
+  for (int j = 0; j < n_cols; ++j) {
+    const double lo = rng.uniform(-4, 0);
+    const double hi = lo + rng.uniform(1, 8);
+    m.add_col(lo, hi, rng.uniform(-3, 3));
+    x0.push_back(rng.uniform(lo, hi));
+  }
+  for (int i = 0; i < n_rows; ++i) {
+    std::vector<ColEntry> entries;
+    double activity = 0.0;
+    for (int j = 0; j < n_cols; ++j) {
+      if (!rng.bernoulli(0.2)) continue;
+      const double coef = rng.uniform(-2, 2);
+      entries.push_back({j, coef});
+      activity += coef * x0[static_cast<std::size_t>(j)];
+    }
+    const double hi = activity + rng.uniform(0, 2);
+    if (rng.bernoulli(0.5)) m.add_row(-kInf, hi, std::move(entries));
+    else m.add_row(activity - rng.uniform(0, 2), hi, std::move(entries));
+  }
+  return m;
+}
+
+TEST(SimplexPinned, WarmBoundSequencesMatchFreshSolves) {
+  // Branch & bound and the MILP session drive the kernel through long
+  // chains of bound changes and dual re-solves. On random sparse LPs,
+  // every re-solve of such a chain must give a fresh engine's verdict;
+  // the iteration totals of both engines and a digest of their optima are
+  // pinned, so the warm path's pivots are held bit-exact as well.
+  std::int64_t warm_iterations = 0;
+  std::int64_t fresh_iterations = 0;
+  std::uint64_t digest = 0;
+  int optimal = 0;
+  int infeasible = 0;
+  for (int seed = 0; seed < 60; ++seed) {
+    elrr::Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 7);
+    const int n_cols = 8 + static_cast<int>(rng.uniform_int(0, 16));
+    const int n_rows = 6 + static_cast<int>(rng.uniform_int(0, 14));
+    Model m = random_sparse_lp(rng, n_cols, n_rows);
+    const Model original = m;
+    SimplexSolver warm(m);
+    warm.solve();
+    for (int step = 0; step < 12; ++step) {
+      const int j = static_cast<int>(rng.uniform_int(0, n_cols - 1));
+      const Column& c = original.col(j);
+      double lo = c.lo;
+      double hi = c.hi;
+      if (rng.bernoulli(0.75)) {  // narrow, as a branch would; else relax
+        lo = rng.uniform(c.lo, c.hi);
+        hi = rng.uniform(lo, c.hi);
+      }
+      m.set_col_bounds(j, lo, hi);
+      warm.set_col_bounds(j, lo, hi);
+      const std::int64_t before = warm.total_iterations();
+      const LpResult resolved = warm.resolve();
+      SimplexSolver fresh(m);
+      const LpResult cold = fresh.solve();
+      ASSERT_EQ(resolved.status, cold.status)
+          << "seed " << seed << " step " << step << ": "
+          << to_string(resolved.status) << " vs " << to_string(cold.status);
+      warm_iterations += warm.total_iterations() - before;
+      fresh_iterations += fresh.total_iterations();
+      if (cold.status == LpStatus::kOptimal) {
+        ++optimal;
+        EXPECT_NEAR(resolved.objective, cold.objective, 1e-6)
+            << "seed " << seed << " step " << step;
+        for (const double v : {resolved.objective, cold.objective}) {
+          digest = (digest ^ std::bit_cast<std::uint64_t>(v + 0.0)) *
+                   0x100000001b3ULL;
+        }
+      } else if (cold.status == LpStatus::kInfeasible) {
+        ++infeasible;
+      }
+    }
+  }
+  EXPECT_GT(optimal, 0);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_EQ(warm_iterations, 592);
+  EXPECT_EQ(fresh_iterations, 12626);
+  EXPECT_EQ(digest, 9397783491170452291u);
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 
 #include "sim/fleet.hpp"
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 
 #include "core/figures.hpp"
 #include "support/error.hpp"
+#include "support/failpoint.hpp"
 #include "support/rng.hpp"
 
 namespace elrr::sim {
@@ -262,6 +265,34 @@ TEST(SimFleetAsync, ObservabilityAndValidation) {
   // ticket, then nothing on the next call.
   EXPECT_EQ(fleet.wait_all().size(), 1u);
   EXPECT_TRUE(fleet.wait_all().empty());
+}
+
+/// The pool grows to cover running slices, not only queued ones: with
+/// one single-slice job already executing on the only pool thread, a
+/// second single-slice submission must get a thread of its own instead
+/// of queueing behind the first.
+TEST(SimFleetAsync, RunningSliceCountsTowardThePoolSize) {
+  const Rrg first = random_rrg(700, false);
+  const Rrg second = random_rrg(701, false);
+  SimOptions options = async_options(31);
+  options.runs = 1;  // one slice per job
+  // The first slice stalls on its pool thread with its heartbeat set.
+  failpoint::configure("fleet.worker=stall:1000");
+  SimFleet fleet(2);
+  const SimTicket a = fleet.submit_async(first, options);
+  EXPECT_EQ(fleet.pool_size(), 1u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fleet.busy_workers() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fleet.busy_workers(), 1u);  // claimed: the queue is empty
+  const SimTicket b = fleet.submit_async(second, options);
+  EXPECT_EQ(fleet.pool_size(), 2u);
+  EXPECT_EQ(fleet.wait(a).theta, simulate_throughput(first, options).theta);
+  EXPECT_EQ(fleet.wait(b).theta, simulate_throughput(second, options).theta);
+  failpoint::reset();
 }
 
 /// Destroying a fleet with unfinished async work must not hang or crash

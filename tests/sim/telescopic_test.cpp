@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
@@ -280,6 +281,12 @@ struct TelescopicCase {
   double fast_prob;
   int slow_extra;
 };
+
+// Without a printer gtest names each case by its raw bytes, padding
+// included, so the case names would change from build to build.
+void PrintTo(const TelescopicCase& c, std::ostream* os) {
+  *os << "(" << c.alpha << ", " << c.fast_prob << ", " << c.slow_extra << ")";
+}
 
 class TelescopicSimVsMarkov
     : public ::testing::TestWithParam<TelescopicCase> {};

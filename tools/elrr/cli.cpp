@@ -1143,6 +1143,7 @@ int cmd_bench_diff(Args& args, std::ostream& out) {
       {"pipeline", "overlapped_seconds", false},
       {"batch", "scheduler_seconds", false},
       {"milp", "warm_seconds", false},
+      {"tput", "seconds", false},
       {"proc", "proc_seconds", false},
       {"obs", "fleet_seconds", false, 0.02},
       // The armed flight recorder rides the same 2% gate: one event per
