@@ -48,8 +48,8 @@ int main() {
   std::printf("%6s %6s %9s %10s %10s %10s\n", "p", "extra", "cap",
               "Theta_lp", "Th_markov", "Th_sim");
   // The whole (p, extra) grid is one fleet workload: every grid point's
-  // replications run batched (telescopic graphs included) and drain over
-  // all cores, instead of one solo simulation per point.
+  // replications run batched (telescopic graphs included) over all
+  // cores, instead of one solo simulation per point.
   const int extras[] = {1, 2, 4};
   const double probs[] = {0.5, 0.7, 0.9, 0.95};
   std::vector<Rrg> grid;
@@ -59,8 +59,8 @@ int main() {
   sim::SimOptions sopt;
   sopt.measure_cycles = 20000;
   sim::SimFleet fleet(0);
-  for (const Rrg& rrg : grid) fleet.submit(rrg, sopt);
-  const std::vector<sim::SimReport> sims = fleet.drain();
+  for (const Rrg& rrg : grid) fleet.submit_async(rrg, sopt);
+  const std::vector<sim::SimReport> sims = fleet.wait_all();
   std::size_t point = 0;
   for (const int extra : extras) {
     for (const double p : probs) {

@@ -12,10 +12,11 @@
 /// section runs a multi-circuit manifest through the svc::Scheduler
 /// (one shared fleet for the whole batch) against the historical
 /// per-circuit engine loop, bit-exactness gated the same way. The `proc`
-/// section drains the fleet workload through real process-isolated
-/// `elrr work` workers and reports the isolation overhead, with the same
-/// bit-exactness gate. The `bnb` section times full branch & bound (three
-/// exact Pareto walks) and gates its node count exactly; the `tput`
+/// section runs the fleet workload through real process-isolated
+/// `elrr work` workers against the same number of in-process threads and
+/// reports the isolation overhead, with the same bit-exactness gate. The
+/// `bnb` section times full branch & bound (three exact Pareto walks) and
+/// gates its node count exactly; the `tput`
 /// section times the heuristic's cold throughput LPs and gates their
 /// simplex iterations exactly.
 ///
@@ -36,7 +37,10 @@
 /// replications, interleaved by the batched stepper on the fast path --
 /// telescopic graphs included since the fleet PR). The fleet workload is
 /// the table/figure shape: many candidate configurations, a few
-/// replications each, scored in one drain.
+/// replications each, scored in one wave (every candidate submitted, then
+/// one wait_all). A fleet reused across timed reps would serve reps 2+
+/// from its session cache, so every rep seeds its wave apart from the
+/// others, and the run fails if a timed ticket is not `fresh`.
 
 #include <algorithm>
 #include <chrono>
@@ -68,6 +72,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 bool quick = false;  ///< --quick: shrunken workloads, same checks
+/// Set when a timed fleet wave was (partly) served from the session
+/// cache: that rep timed a lookup, not a simulation, so the run fails.
+bool cache_hit_timed = false;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -132,7 +139,7 @@ Row measure(const Case& c) {
 
 struct FleetRow {
   double loop_s = 0.0;   ///< PR-1 per-candidate loop, best of reps
-  double fleet_s = 0.0;  ///< one SimFleet drain, best of reps
+  double fleet_s = 0.0;  ///< one SimFleet wave, best of reps
   std::size_t candidates = 0;
   std::size_t workers = 0;
   bool bit_exact = false;
@@ -149,12 +156,63 @@ std::vector<elrr::Rrg> fleet_candidates() {
   return candidates;
 }
 
-elrr::sim::SimOptions fleet_sim_options() {
+/// The fleet workload's options for timed rep `rep`. Each rep gets its
+/// own seed, so a fleet reused across reps simulates every rep afresh;
+/// both arms of a comparison use the rep's seed, so bit_exact still
+/// compares like with like.
+elrr::sim::SimOptions fleet_sim_options(int rep) {
   elrr::sim::SimOptions options;
+  options.seed += static_cast<std::uint64_t>(rep);
   options.warmup_cycles = 200;
   options.measure_cycles = quick ? 2000 : 20000;
   options.runs = 4;
   return options;
+}
+
+struct Wave {
+  std::vector<double> thetas;  ///< per submission, in submission order
+  std::size_t fresh = 0;       ///< tickets that started a new simulation
+};
+
+/// Scores `copies` passes over `candidates` through `fleet` as one wave:
+/// every submission first, then one wait_all.
+Wave score_wave(elrr::sim::SimFleet& fleet,
+                const std::vector<elrr::Rrg>& candidates,
+                const elrr::sim::SimOptions& options, int copies = 1) {
+  Wave wave;
+  for (int copy = 0; copy < copies; ++copy) {
+    for (const elrr::Rrg& candidate : candidates) {
+      if (fleet.submit_async(candidate, options).fresh) ++wave.fresh;
+    }
+  }
+  for (const elrr::sim::SimReport& report : fleet.wait_all()) {
+    wave.thetas.push_back(report.theta);
+  }
+  return wave;
+}
+
+/// A timed wave of distinct candidates: every ticket must be fresh.
+std::vector<double> fresh_wave(elrr::sim::SimFleet& fleet,
+                               const std::vector<elrr::Rrg>& candidates,
+                               const elrr::sim::SimOptions& options) {
+  Wave wave = score_wave(fleet, candidates, options);
+  if (wave.fresh != candidates.size()) cache_hit_timed = true;
+  return std::move(wave.thetas);
+}
+
+/// Times one fresh wave per rep on a single fleet of `threads` (the pool
+/// persists across reps, as it does across a batch); returns the best
+/// wall time and appends each rep's thetas to `*thetas`.
+double time_waves(std::size_t threads, const std::vector<elrr::Rrg>& candidates,
+                  std::vector<std::vector<double>>* thetas) {
+  double best = 1e300;
+  elrr::sim::SimFleet fleet(threads);
+  for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
+    const auto t0 = Clock::now();
+    thetas->push_back(fresh_wave(fleet, candidates, fleet_sim_options(rep)));
+    best = std::min(best, seconds_since(t0));
+  }
+  return best;
 }
 
 /// A Pareto-walk-shaped workload: several candidate configurations of one
@@ -164,19 +222,19 @@ elrr::sim::SimOptions fleet_sim_options() {
 /// max_batch = 1 (solo stepping) for the telescopic candidates. The fleet
 /// scores the identical jobs through one batched work queue; the fleet
 /// object (and with it the persistent worker pool) lives across the
-/// measurement reps, as it does across a flow's drains.
+/// measurement reps, as it does across a flow's walk iterations.
 FleetRow measure_fleet() {
   const std::vector<elrr::Rrg> candidates = fleet_candidates();
-  const elrr::sim::SimOptions options = fleet_sim_options();
 
   FleetRow row;
   row.candidates = candidates.size();
+  row.bit_exact = true;
 
   std::vector<double> loop_thetas(candidates.size());
-  std::vector<double> fleet_thetas(candidates.size());
   double best_loop = 1e300, best_fleet = 1e300;
   elrr::sim::SimFleet fleet(0);  // all cores; pool persists across reps
   for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
+    const elrr::sim::SimOptions options = fleet_sim_options(rep);
     auto t0 = Clock::now();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       elrr::sim::SimOptions solo = options;
@@ -188,19 +246,14 @@ FleetRow measure_fleet() {
     best_loop = std::min(best_loop, seconds_since(t0));
 
     t0 = Clock::now();
-    for (const elrr::Rrg& candidate : candidates) {
-      fleet.submit(candidate, options);
-    }
-    const std::vector<elrr::sim::SimReport> reports = fleet.drain();
+    const std::vector<double> fleet_thetas =
+        fresh_wave(fleet, candidates, options);
     best_fleet = std::min(best_fleet, seconds_since(t0));
-    row.workers = fleet.last_worker_count();
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      fleet_thetas[i] = reports[i].theta;
-    }
+    row.bit_exact = row.bit_exact && loop_thetas == fleet_thetas;
   }
+  row.workers = fleet.pool_size();
   row.loop_s = best_loop;
   row.fleet_s = best_fleet;
-  row.bit_exact = loop_thetas == fleet_thetas;
   return row;
 }
 
@@ -215,10 +268,11 @@ struct DedupRow {
 /// The dedup workload: the same candidate set submitted three times over
 /// -- the shape of a Pareto walk that revisits configurations (and of
 /// sweeps rescoring a frontier). With dedup the fleet simulates each
-/// distinct candidate once and fans the scores out.
+/// distinct candidate once and fans the scores out. Every rep builds
+/// fresh fleets, so `unique` counts the fresh tickets of one wave.
 DedupRow measure_dedup() {
   const std::vector<elrr::Rrg> candidates = fleet_candidates();
-  const elrr::sim::SimOptions options = fleet_sim_options();
+  const elrr::sim::SimOptions options = fleet_sim_options(0);
   constexpr int kCopies = 3;
 
   DedupRow row;
@@ -229,20 +283,16 @@ DedupRow measure_dedup() {
   for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
     for (const bool dedup : {false, true}) {
       elrr::sim::SimFleet fleet(0, dedup);
-      for (int copy = 0; copy < kCopies; ++copy) {
-        for (const elrr::Rrg& candidate : candidates) {
-          fleet.submit(candidate, options);
-        }
-      }
       const auto t0 = Clock::now();
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
+      Wave wave = score_wave(fleet, candidates, options, kCopies);
       const double s = seconds_since(t0);
-      std::vector<double>& thetas = dedup ? on_thetas : off_thetas;
-      thetas.clear();
-      for (const auto& report : reports) thetas.push_back(report.theta);
+      if (wave.fresh != (dedup ? candidates.size() : row.jobs)) {
+        cache_hit_timed = true;
+      }
+      (dedup ? on_thetas : off_thetas) = std::move(wave.thetas);
       if (dedup) {
         best_on = std::min(best_on, s);
-        row.unique = fleet.last_unique_jobs();
+        row.unique = wave.fresh;
       } else {
         best_off = std::min(best_off, s);
       }
@@ -255,64 +305,34 @@ DedupRow measure_dedup() {
 }
 
 struct ProcRow {
-  double inproc_s = 0.0;  ///< in-process pool (1 thread), best of reps
+  double inproc_s = 0.0;  ///< in-process pool (2 threads), best of reps
   double proc_s = 0.0;    ///< 2 `elrr work` worker processes, best of reps
   std::size_t candidates = 0;
   bool bit_exact = false;  ///< proc-tier thetas == in-process thetas
 };
 
-/// The process-isolation overhead: the fleet workload drained through the
-/// in-process pool vs through real `elrr work` worker processes (spawn +
-/// serialize + pipe round-trips). ELRR_PROC_WORKERS is read at fleet
+/// The process-isolation overhead: the fleet workload on 2 in-process
+/// pool threads vs through 2 real `elrr work` worker processes (spawn +
+/// serialize + pipe round-trips) -- equal parallelism, so the ratio is
+/// the isolation cost alone. ELRR_PROC_WORKERS is read at fleet
 /// construction, so each mode builds its own fleet; both fleets persist
 /// across the measurement reps so the proc number amortises worker spawns
 /// the way a long batch does. The bit_exact gate is the isolation tier's
 /// whole contract: identical thetas at any worker count.
 ProcRow measure_proc() {
   const std::vector<elrr::Rrg> candidates = fleet_candidates();
-  const elrr::sim::SimOptions options = fleet_sim_options();
 
   ProcRow row;
   row.candidates = candidates.size();
 
-  std::vector<double> inproc_thetas(candidates.size());
-  std::vector<double> proc_thetas(candidates.size());
-  double best_inproc = 1e300, best_proc = 1e300;
-  {
-    elrr::sim::SimFleet fleet(1);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_inproc = std::min(best_inproc, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        inproc_thetas[i] = reports[i].theta;
-      }
-    }
-  }
+  std::vector<std::vector<double>> inproc_thetas, proc_thetas;
+  row.inproc_s = time_waves(2, candidates, &inproc_thetas);
   ::setenv("ELRR_PROC_WORKERS", "2", 1);
   ::setenv("ELRR_WORK_BIN", ELRR_CLI_BIN, 1);
-  {
-    elrr::sim::SimFleet fleet(1);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_proc = std::min(best_proc, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        proc_thetas[i] = reports[i].theta;
-      }
-    }
-  }
+  row.proc_s = time_waves(2, candidates, &proc_thetas);
   ::unsetenv("ELRR_PROC_WORKERS");
   ::unsetenv("ELRR_WORK_BIN");
 
-  row.inproc_s = best_inproc;
-  row.proc_s = best_proc;
   row.bit_exact = inproc_thetas == proc_thetas;
   return row;
 }
@@ -340,46 +360,17 @@ struct ObsRow {
 /// never results.
 ObsRow measure_obs() {
   const std::vector<elrr::Rrg> candidates = fleet_candidates();
-  const elrr::sim::SimOptions options = fleet_sim_options();
 
   ObsRow row;
   row.candidates = candidates.size();
-  std::vector<double> disarmed_thetas(candidates.size());
-  std::vector<double> armed_thetas(candidates.size());
-  double best_disarmed = 1e300, best_armed = 1e300;
+  std::vector<std::vector<double>> disarmed_thetas, armed_thetas;
 
   elrr::obs::reset();  // tracing off: the disarmed fast path
-  {
-    elrr::sim::SimFleet fleet(0);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_disarmed = std::min(best_disarmed, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        disarmed_thetas[i] = reports[i].theta;
-      }
-    }
-  }
+  row.disarmed_s = time_waves(0, candidates, &disarmed_thetas);
 
   elrr::obs::configure("", 1 << 16);  // big rings; still disarmed (no path)
   elrr::obs::arm(true);
-  {
-    elrr::sim::SimFleet fleet(0);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_armed = std::min(best_armed, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        armed_thetas[i] = reports[i].theta;
-      }
-    }
-  }
+  row.armed_s = time_waves(0, candidates, &armed_thetas);
   row.spans = elrr::obs::snapshot_spans().size();
   elrr::obs::reset();
 
@@ -391,30 +382,13 @@ ObsRow measure_obs() {
   // contract tracing honors. The dump dir is cwd; the pre-opened temp
   // file is unlinked by reset() below, so a crash-free run leaves
   // nothing behind.
-  std::vector<double> recorder_thetas(candidates.size());
-  double best_recorder = 1e300;
+  std::vector<std::vector<double>> recorder_thetas;
   elrr::obs::rec::configure(".", 1 << 16);
-  {
-    elrr::sim::SimFleet fleet(0);
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = Clock::now();
-      for (const elrr::Rrg& candidate : candidates) {
-        fleet.submit(candidate, options);
-      }
-      const std::vector<elrr::sim::SimReport> reports = fleet.drain();
-      best_recorder = std::min(best_recorder, seconds_since(t0));
-      for (std::size_t i = 0; i < reports.size(); ++i) {
-        recorder_thetas[i] = reports[i].theta;
-      }
-    }
-  }
+  row.recorder_s = time_waves(0, candidates, &recorder_thetas);
   row.events = elrr::obs::rec::snapshot_events().size() +
                static_cast<std::size_t>(elrr::obs::rec::dropped_events());
   elrr::obs::rec::reset();
 
-  row.disarmed_s = best_disarmed;
-  row.armed_s = best_armed;
-  row.recorder_s = best_recorder;
   row.bit_exact = disarmed_thetas == armed_thetas;
   row.recorder_bit_exact = disarmed_thetas == recorder_thetas;
   return row;
@@ -1138,15 +1112,15 @@ int main(int argc, char** argv) {
   all_bit_exact &= proc.bit_exact;
   std::fprintf(out,
                ",\n    \"proc\": {\"workload\": "
-               "\"the fleet candidate set drained through the in-process "
-               "pool vs 2 process-isolated elrr-work workers\", "
+               "\"the fleet candidate set on 2 in-process threads vs 2 "
+               "process-isolated elrr-work workers\", "
                "\"candidates\": %zu, \"inproc_seconds\": %.4f, "
                "\"proc_seconds\": %.4f, \"overhead\": %.2f, "
                "\"bit_exact\": %s}",
                proc.candidates, proc.inproc_s, proc.proc_s,
                proc.proc_s / proc.inproc_s,
                proc.bit_exact ? "true" : "false");
-  std::printf("proc       (%zu candidates): in-process %.3fs, "
+  std::printf("proc       (%zu candidates): 2 in-process threads %.3fs, "
               "2 worker processes %.3fs, isolation overhead %.2fx, %s",
               proc.candidates, proc.inproc_s, proc.proc_s,
               proc.proc_s / proc.inproc_s,
@@ -1208,6 +1182,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());
+  if (cache_hit_timed) {
+    std::fprintf(stderr,
+                 "perf_smoke: a timed fleet wave hit the session cache\n");
+    return 1;
+  }
   if (!all_bit_exact) {
     std::fprintf(stderr, "perf_smoke: bit-exactness violated (see above)\n");
     return 1;

@@ -165,7 +165,7 @@ double run_reference(const Kernel& kernel, const GuardTable& guards,
 /// the dedup cache each hold a reference, so neither ticket release nor
 /// cache eviction can free a job a worker still executes.
 struct JobContext {
-  /// `remaining` value of a reserved-but-not-yet-built async context
+  /// `remaining` value of a reserved-but-not-yet-built context
   /// (two-phase submission: the cache entry is visible -- and aliasable
   /// -- while the kernels build outside the lock).
   static constexpr std::size_t kBuilding = static_cast<std::size_t>(-1);
@@ -195,12 +195,6 @@ struct JobContext {
   /// ones -- degradation is observable only through this counter.
   std::once_flag ref_fallback_once;
   std::atomic<std::uint32_t> degraded_slices{0};
-  /// Async contexts drop their kernels/tables/borrows once complete:
-  /// the session cache keeps only the per_run results (cheap) while the
-  /// heavy execution state is freed as soon as the last slice lands.
-  /// Also the "this context counts toward in_flight" marker.
-  bool release_on_done = false;
-
   bool done() const { return remaining == 0; }
 
   /// Frees everything execution needed; per_run/path/fallback survive
@@ -321,7 +315,7 @@ std::string canonical_key(const Rrg& rrg, const SimOptions& options) {
 
 /// Classifies the execution path and builds kernels, chooser tables,
 /// result slots and the slice partition for one unique job. Runs on the
-/// submitting thread (sync and async alike), outside the fleet mutex.
+/// submitting thread, outside the fleet mutex.
 /// `build_kernels = false` (the proc tier) skips the kernel and chooser
 /// construction: classification, result slots and the slice partition
 /// still happen here -- identically, so the partition and the report
@@ -341,6 +335,9 @@ void build_context(JobContext& ctx, std::vector<QueueEntry>* entries,
   } else {
     ctx.path = SimPath::kFlat;
   }
+  // The lane cap is per job: options.max_batch == 0 means kDefaultLane,
+  // anything else clamps (1 = solo stepping); reference-path
+  // jobs go run by run (the reference kernel has no batched stepper).
   if (ctx.path == SimPath::kFlat) {
     if (build_kernels) ctx.flat_kernel = std::make_unique<FlatKernel>(*ctx.rrg);
     ctx.lane_cap = ctx.options.max_batch == 0
@@ -390,16 +387,16 @@ std::size_t entry_bytes(const std::string& key, const JobContext& ctx) {
 
 }  // namespace
 
-/// Pool, queue and async-session state. Workers and client threads meet
+/// Pool, queue and session state. Workers and client threads meet
 /// only here, under `mutex`:
 ///  * `queue` holds unclaimed slices; workers pop front, execute
 ///    unlocked, then decrement their context's `remaining` under the
 ///    lock and signal `cv_done` when a job finishes;
-///  * drain() and the async waiters block on `cv_done` until the
-///    contexts they care about complete -- a claimed slice holds a
-///    shared_ptr, so context storage outlives its execution no matter
-///    what tickets or the cache do meanwhile;
-///  * the async session -- the LRU dedup `cache` and the `tickets`
+///  * wait/wait_for/wait_all block on `cv_done` until the contexts they
+///    care about complete -- a claimed slice holds a shared_ptr, so
+///    context storage outlives its execution no matter what tickets or
+///    the cache do meanwhile;
+///  * the session -- the LRU dedup `cache` and the `tickets`
 ///    table -- persists for the fleet's lifetime and is fully guarded by
 ///    `mutex`: any number of client threads may submit/poll/wait/release
 ///    concurrently (multi-client sharing, the svc::Scheduler shape).
@@ -428,7 +425,7 @@ struct FleetCore {
   bool stop = false;
   std::deque<QueueEntry> queue;
 
-  // Async session (all under `mutex`).
+  // Session (all under `mutex`).
   std::unordered_map<std::string, CacheEntry> cache;  ///< canonical -> entry
   std::list<const std::string*> lru;  ///< front = most recently used
   std::size_t cache_bytes = 0;
@@ -436,7 +433,7 @@ struct FleetCore {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::size_t in_flight = 0;  ///< async contexts not yet completed
+  std::size_t in_flight = 0;  ///< contexts not yet completed
 
   std::unordered_map<std::size_t, std::shared_ptr<JobContext>> tickets;
   std::size_t next_ticket = 0;
@@ -580,43 +577,37 @@ std::size_t SimFleet::hardware_concurrency_cached() {
   return hardware;
 }
 
-std::size_t SimFleet::submit(const Rrg& rrg, const SimOptions& options) {
-  ELRR_REQUIRE(options.measure_cycles > 0, "measure_cycles must be positive");
-  ELRR_REQUIRE(options.runs > 0, "need at least one run");
-  jobs_.push_back(Job{&rrg, options});
-  return jobs_.size() - 1;
-}
-
-std::size_t SimFleet::submit(Rrg&& rrg, const SimOptions& options) {
-  ELRR_REQUIRE(options.measure_cycles > 0, "measure_cycles must be positive");
-  ELRR_REQUIRE(options.runs > 0, "need at least one run");
-  sync_owned_.push_back(std::make_unique<Rrg>(std::move(rrg)));
-  jobs_.push_back(Job{sync_owned_.back().get(), options});
-  return jobs_.size() - 1;
-}
-
 void SimFleet::ensure_pool(std::size_t workers) {
   const std::lock_guard<std::mutex> lock(core_->mutex);
   while (core_->pool.size() < workers) {
     const std::size_t slot = core_->pool.size();
     core_->beats.emplace_back();
     core_->child_pids.push_back(0);
-    if (proc_workers_ > 0) {
-      core_->pool.emplace_back([this, slot] { proc_supervisor_main(slot); });
-    } else {
-      core_->pool.emplace_back([this, slot] { worker_main(slot); });
-    }
+    core_->pool.emplace_back([this, slot] { worker_main(slot); });
   }
 }
 
 void SimFleet::worker_main(std::size_t slot) {
   FleetCore& core = *core_;
+  // In proc mode this thread is a *supervisor*: one worker process per
+  // slot, spawned lazily at the first slice and respawned (bounded, with
+  // backoff) after a crash. The supervisor thread carries the heartbeat:
+  // its beat stays `busy` while the slice is at the child, so
+  // stuck_workers() -- and through it the scheduler's stall reporting --
+  // sees a wedged worker process exactly like a wedged in-process worker.
+  // Everything else (queue, dedup, completion, failure propagation) is
+  // this one loop for both tiers, which is what keeps the run-order
+  // merge -- and with it every theta -- bit-identical across tiers,
+  // worker counts, and mid-batch crashes.
+  const bool isolated = proc_workers_ > 0;
+  std::unique_ptr<proc::WorkerProcess> child;
+  int spawn_generation = 0;
   obs::set_thread_label(
-      ("fleet-" + std::to_string(slot)).c_str());
+      ((isolated ? "fleet-proc-" : "fleet-") + std::to_string(slot)).c_str());
   std::unique_lock<std::mutex> lock(core.mutex);
   for (;;) {
     core.cv_work.wait(lock, [&] { return core.stop || !core.queue.empty(); });
-    if (core.stop) return;
+    if (core.stop) break;
     const QueueEntry entry = core.queue.front();
     core.queue.pop_front();
     JobContext& ctx = *entry.ctx;
@@ -635,11 +626,19 @@ void SimFleet::worker_main(std::size_t slot) {
         // throw here fails the slice's job -- the transient the
         // scheduler's retry budget exists for. Its `stall:` mode sleeps
         // with the heartbeat set, which is what stuck_workers() reads.
+        // Both tiers trip it here, so chaos schedules targeting
+        // `fleet.worker` exercise both with one spec. (`proc.worker` is
+        // the *child-side* site -- a real process death, not a throw.)
         failpoint::trip("fleet.worker");
-        OBS_SPAN_ID("fleet.slice", entry.first);
+        OBS_SPAN_ID(isolated ? "fleet.proc_slice" : "fleet.slice",
+                    entry.first);
         obs::rec::event("slice.dispatch", entry.first, entry.count);
         obs::rec::set_inflight("slice", entry.first);
-        fleet_detail::execute_slice(ctx, entry.first, entry.count);
+        if (isolated) {
+          proc_run_slice(slot, entry, &child, &spawn_generation);
+        } else {
+          fleet_detail::execute_slice(ctx, entry.first, entry.count);
+        }
       } catch (...) {
         failure = std::current_exception();
       }
@@ -657,75 +656,18 @@ void SimFleet::worker_main(std::size_t slot) {
       core.purge_entry(&ctx);
     }
     if (--ctx.remaining == 0) {
-      if (ctx.release_on_done) {
-        ctx.release_execution_state();
-        ELRR_ASSERT(core.in_flight > 0, "in_flight underflow");
-        --core.in_flight;
-      }
-      core.cv_done.notify_all();
-    }
-  }
-}
-
-void SimFleet::proc_supervisor_main(std::size_t slot) {
-  FleetCore& core = *core_;
-  // One worker process per supervisor slot, spawned lazily at the first
-  // slice and respawned (bounded, with backoff) after a crash. The
-  // supervisor thread carries the heartbeat: its beat stays `busy` while
-  // the slice is at the child, so stuck_workers() -- and through it the
-  // scheduler's stall reporting -- sees a wedged worker process exactly
-  // like a wedged in-process worker. Everything else (queue, dedup,
-  // completion, failure propagation) is worker_main's, which is what
-  // keeps the run-order merge -- and with it every theta -- bit-identical
-  // across tiers, worker counts, and mid-batch crashes.
-  std::unique_ptr<proc::WorkerProcess> child;
-  int spawn_generation = 0;
-  obs::set_thread_label(
-      ("fleet-proc-" + std::to_string(slot)).c_str());
-  std::unique_lock<std::mutex> lock(core.mutex);
-  for (;;) {
-    core.cv_work.wait(lock, [&] { return core.stop || !core.queue.empty(); });
-    if (core.stop) break;
-    const QueueEntry entry = core.queue.front();
-    core.queue.pop_front();
-    JobContext& ctx = *entry.ctx;
-    const bool skip = ctx.failure != nullptr;
-    core.beats[slot] = {true, std::chrono::steady_clock::now()};
-    lock.unlock();
-    std::exception_ptr failure;
-    if (!skip) {
-      try {
-        // Same whole-worker fault site as the in-process pool, tripped
-        // in the supervisor: chaos schedules targeting `fleet.worker`
-        // exercise both tiers with one spec. (`proc.worker` is the
-        // *child-side* site -- a real process death, not a throw.)
-        failpoint::trip("fleet.worker");
-        OBS_SPAN_ID("fleet.proc_slice", entry.first);
-        obs::rec::event("slice.dispatch", entry.first, entry.count);
-        obs::rec::set_inflight("slice", entry.first);
-        proc_run_slice(slot, entry, &child, &spawn_generation);
-      } catch (...) {
-        failure = std::current_exception();
-      }
-      obs::rec::clear_inflight();
-    }
-    lock.lock();
-    core.beats[slot].busy = false;
-    if (failure && !ctx.failure) ctx.failure = failure;
-    if (ctx.failure) core.purge_entry(&ctx);
-    if (--ctx.remaining == 0) {
-      if (ctx.release_on_done) {
-        ctx.release_execution_state();
-        ELRR_ASSERT(core.in_flight > 0, "in_flight underflow");
-        --core.in_flight;
-      }
+      // The session cache keeps only the per_run results (cheap); the
+      // heavy execution state is freed as soon as the last slice lands.
+      ctx.release_execution_state();
+      ELRR_ASSERT(core.in_flight > 0, "in_flight underflow");
+      --core.in_flight;
       core.cv_done.notify_all();
     }
   }
   core.child_pids[slot] = 0;
   lock.unlock();
-  // Shutdown: the worker process dies with its handle (EOF, then
-  // SIGKILL + reap for a wedged one).
+  // Shutdown: a worker process dies with its handle (EOF, then SIGKILL +
+  // reap for a wedged one).
   child.reset();
 }
 
@@ -880,109 +822,6 @@ void SimFleet::proc_run_slice(std::size_t slot, const QueueEntry& entry,
       ") of a fleet job (last: ", last_death, ")"));
 }
 
-std::vector<SimReport> SimFleet::drain() {
-  if (jobs_.empty()) return {};
-  // The queue empties no matter how this drain ends (success, a job
-  // exception on either the inline or the pooled path, a context-build
-  // throw): a failed drain never leaks its jobs into the next one. The
-  // owned candidates of this drain die with it too (after execution).
-  const std::vector<Job> jobs = std::move(jobs_);
-  jobs_.clear();
-  struct OwnedGuard {
-    std::vector<std::unique_ptr<Rrg>>* owned;
-    ~OwnedGuard() { owned->clear(); }
-  } owned_guard{&sync_owned_};
-
-  // Deduplicate: jobs whose canonical (rrg content, options) key matches
-  // an earlier submission share that submission's context -- one
-  // simulation, results fanned out below. Precompute every unique job's
-  // kernel, tables and slice partition. The lane cap is per job:
-  // options.max_batch == 0 means the driver default, anything else
-  // clamps (1 = solo stepping); reference-path jobs go run by run (the
-  // reference kernel has no batched stepper).
-  std::vector<std::size_t> group(jobs.size());
-  std::vector<std::shared_ptr<JobContext>> contexts;
-  {
-    std::unordered_map<std::string, std::size_t> seen;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (dedup_) {
-        const std::string key =
-            fleet_detail::canonical_key(*jobs[j].rrg, jobs[j].options);
-        const auto [it, inserted] = seen.emplace(key, contexts.size());
-        group[j] = it->second;
-        if (!inserted) continue;
-      } else {
-        group[j] = contexts.size();
-      }
-      contexts.push_back(std::make_shared<JobContext>());
-      JobContext& ctx = *contexts.back();
-      ctx.rrg = jobs[j].rrg;
-      ctx.options = jobs[j].options;
-    }
-  }
-  last_unique_ = contexts.size();
-
-  std::vector<QueueEntry> entries;
-  for (const std::shared_ptr<JobContext>& ctx : contexts) {
-    std::vector<QueueEntry> slices;
-    fleet_detail::build_context(*ctx, &slices, ctx,
-                                /*build_kernels=*/proc_workers_ == 0);
-    ctx->remaining = slices.size();
-    entries.insert(entries.end(), slices.begin(), slices.end());
-  }
-
-  // An explicit thread request never consults hardware_concurrency():
-  // the queried value is irrelevant then, and the call is not free on
-  // every drain of a hot flow loop. In proc mode the pool width is the
-  // supervisor count (ELRR_PROC_WORKERS), still capped by the queue.
-  const std::size_t hardware =
-      threads_ == 0 && proc_workers_ == 0 ? hardware_concurrency_cached() : 0;
-  const std::size_t workers =
-      proc_workers_ > 0
-          ? resolve_worker_count(proc_workers_, 0, entries.size())
-          : resolve_worker_count(threads_, hardware, entries.size());
-  last_workers_ = workers;
-  if (workers <= 1 && proc_workers_ == 0) {
-    for (const QueueEntry& entry : entries) {
-      OBS_SPAN_ID("fleet.slice", entry.first);
-      obs::rec::event("slice.dispatch", entry.first, entry.count);
-      obs::rec::set_inflight("slice", entry.first);
-      fleet_detail::execute_slice(*entry.ctx, entry.first, entry.count);
-      obs::rec::clear_inflight();
-    }
-  } else {
-    ensure_pool(workers);
-    {
-      std::unique_lock<std::mutex> lock(core_->mutex);
-      for (const QueueEntry& entry : entries) {
-        core_->queue.push_back(entry);
-      }
-      core_->cv_work.notify_all();
-      core_->cv_done.wait(lock, [&] {
-        for (const std::shared_ptr<JobContext>& ctx : contexts) {
-          if (!ctx->done()) return false;
-        }
-        return true;
-      });
-    }
-    // Rethrow the first failure in context (submission) order --
-    // deterministic regardless of which worker hit it first.
-    for (const std::shared_ptr<JobContext>& ctx : contexts) {
-      if (ctx->failure) std::rethrow_exception(ctx->failure);
-    }
-  }
-
-  // Merge in run order, job by job (each through its unique context):
-  // neither the queue interleaving, the pool size nor dedup can reach
-  // this reduction.
-  std::vector<SimReport> reports;
-  reports.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    reports.push_back(fleet_detail::report_for(*contexts[group[j]]));
-  }
-  return reports;
-}
-
 SimTicket SimFleet::submit_async(const Rrg& rrg, const SimOptions& options) {
   return enqueue_async(&rrg, options, nullptr);
 }
@@ -1026,7 +865,6 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
       }
     }
     fresh->remaining = JobContext::kBuilding;
-    fresh->release_on_done = true;
     ++core.cache_misses;
     ++core.in_flight;
     if (dedup_) {
@@ -1087,11 +925,12 @@ SimTicket SimFleet::enqueue_async(const Rrg* rrg, const SimOptions& options,
       core.evict_over_cap();
     }
   }
-  // Async work always runs on the pool (that is the point: the caller's
-  // thread keeps optimizing); grow it to cover the backlog -- queued plus
+  // Work always runs on the pool (the caller's thread keeps optimizing,
+  // or blocks in wait); grow it to cover the backlog -- queued plus
   // running slices -- up to the configured width. 0 = hardware
-  // concurrency, queried once. In proc mode the pool is the supervisor
-  // set, one worker process each.
+  // concurrency, queried once; an explicit thread request never consults
+  // it (the call is not free on a hot submission path). In proc mode the
+  // pool is the supervisor set, one worker process each.
   ensure_pool(
       proc_workers_ > 0
           ? resolve_worker_count(proc_workers_, 0, backlog)
@@ -1195,15 +1034,6 @@ std::size_t SimFleet::async_pending() const {
   FleetCore& core = *core_;
   const std::lock_guard<std::mutex> lock(core.mutex);
   return core.in_flight;
-}
-
-std::size_t SimFleet::async_cache_size() const {
-  FleetCore& core = *core_;
-  const std::lock_guard<std::mutex> lock(core.mutex);
-  // A dedup-off session has no cache; its unique-simulation count is the
-  // historical reading of this accessor, so keep reporting it.
-  return dedup_ ? core.cache.size()
-                : static_cast<std::size_t>(core.cache_misses);
 }
 
 SimCacheStats SimFleet::cache_stats() const {

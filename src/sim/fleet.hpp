@@ -16,30 +16,26 @@
 /// FlatKernel::step_batch (telescopic candidates included), and drains
 /// work items from *different* candidates concurrently across the pool.
 ///
-/// Two usage styles share the pool and the optimizations:
+/// One submission path: `submit_async` dispatches each candidate to the
+/// background pool *immediately* and returns a SimTicket; results come
+/// back through `poll`/`wait`/`wait_all`, and the caller keeps working
+/// meanwhile -- the pipelined flow engine (flow/engine.hpp) submits each
+/// Pareto candidate while the next MILP step solves. A caller scoring a
+/// fixed batch submits every candidate, then calls wait_all(), which
+/// returns the reports in submission order. simulate_throughput is the
+/// one-ticket case, `wait(submit_async(...))`: even a single candidate
+/// runs on a pool thread, never inline on the caller. Submissions feed a
+/// session-persistent result cache: a candidate with identical canonical
+/// content + options to any earlier submission (a previous walk
+/// iteration, a previous wait_all, *another client's job*) reuses the
+/// finished result instead of re-simulating.
 ///
-///  * **Synchronous** (`submit` + `drain`): enqueue every candidate, then
-///    drain(); results come back in submission order and the fleet is
-///    reusable. The calling thread participates (and runs everything
-///    inline when one worker suffices).
-///
-///  * **Asynchronous** (`submit_async` + `poll`/`wait`/`wait_all`): each
-///    submission is dispatched to the background pool *immediately* and
-///    returns a SimTicket; the caller keeps working -- the pipelined flow
-///    engine (flow/engine.hpp) submits each Pareto candidate while the
-///    next MILP step solves. Async submissions feed a session-persistent
-///    result cache: a candidate with identical canonical content +
-///    options to any earlier async submission (this drain, a previous
-///    walk iteration, a previous wait_all, *another client's job*)
-///    reuses the finished result instead of re-simulating.
-///
-/// Multi-client sharing (the svc::Scheduler shape): the asynchronous API
-/// -- submit_async, poll, wait, release -- is thread-safe and may be
-/// driven by any number of client threads concurrently; one fleet serves
-/// every optimization job of a batch, and the session cache dedups
-/// identical candidates *across* jobs. wait_all() and the synchronous
-/// submit/drain pair remain single-client (one thread at a time): their
-/// wave/queue bookkeeping is caller-wide by design.
+/// Multi-client sharing (the svc::Scheduler shape): submit_async, poll,
+/// wait, wait_for and release are thread-safe and may be driven by any
+/// number of client threads concurrently; one fleet serves every
+/// optimization job of a batch, and the session cache dedups identical
+/// candidates *across* jobs. wait_all() remains single-client (one
+/// thread at a time): its wave bookkeeping is caller-wide by design.
 ///
 /// Session cache bound: the canonical-key result cache is LRU-evicted
 /// past a byte cap (`cache_cap_bytes`; default 256 MiB, 0 = unbounded),
@@ -51,13 +47,12 @@
 /// ELRR_SIM_CACHE_CAP env knob plumbs the cap through FlowOptions /
 /// svc::SchedulerOptions.
 ///
-/// Ownership: `submit(const Rrg&)` / `submit_async(const Rrg&)` borrow
-/// the candidate -- it must stay alive and structurally unchanged until
-/// drain() returns / the ticket completes. The rvalue overloads
-/// (`submit(Rrg&&)`, `submit_async(Rrg&&)`) move the candidate *into*
-/// the fleet instead, removing the borrow-until-drain lifetime hazard --
-/// the right default for candidates materialized on the fly
-/// (apply_config results of a walk).
+/// Ownership: `submit_async(const Rrg&)` borrows the candidate -- it must
+/// stay alive and structurally unchanged until the ticket completes. The
+/// rvalue overload `submit_async(Rrg&&)` moves the candidate *into* the
+/// fleet instead, removing the borrow lifetime hazard -- the right
+/// default for candidates materialized on the fly (apply_config results
+/// of a walk).
 ///
 /// Two cross-candidate optimizations ride on the shared queue:
 ///  * duplicate candidates -- identical buffer/retiming assignments, a
@@ -65,17 +60,17 @@
 ///    simulated once and their scores fanned back out to every submitted
 ///    duplicate (the determinism contract makes the shared result
 ///    bit-identical to simulating each copy);
-///  * the worker pool persists across drain() calls and async sessions
-///    (workers park on a condition variable in between), so a flow that
-///    drains per walk iteration stops paying thread spawn/join per drain.
+///  * the worker pool persists across waves and clients (workers park on
+///    a condition variable in between), so a flow that scores per walk
+///    iteration stops paying thread spawn/join per iteration.
 ///
 /// Determinism contract (same as the PR-1 driver, fleet-wide): each job's
 /// result depends only on (rrg, options.seed, options.runs,
 /// options.*_cycles). Every run draws from its own splitmix64-derived
 /// per-node streams, per-run theta lands in a run-indexed slot, and each
 /// job's moments accumulate in run order -- so the thread count, the lane
-/// packing (options.max_batch), dedup on/off, sync vs async submission,
-/// the submission interleaving and the client count can never change a
+/// packing (options.max_batch), dedup on/off, the execution tier, the
+/// submission interleaving and the client count can never change a
 /// reported theta. A fleet job is bit-identical to simulate_throughput
 /// of the same (rrg, options).
 
@@ -205,25 +200,12 @@ class SimFleet {
   SimFleet(const SimFleet&) = delete;
   SimFleet& operator=(const SimFleet&) = delete;
 
-  /// Enqueues one candidate; returns its index into drain()'s result
-  /// vector. Validates options eagerly (throws on zero cycles/runs).
-  /// The borrowed Rrg must outlive the drain() call.
-  std::size_t submit(const Rrg& rrg, const SimOptions& options);
-  /// Owning overload: the candidate is moved into the fleet and kept
-  /// alive through the drain -- no lifetime obligation on the caller.
-  std::size_t submit(Rrg&& rrg, const SimOptions& options);
-
-  /// Runs every queued job to completion and clears the queue -- also on
-  /// failure, so a throwing job never leaks stale queue entries into the
-  /// next drain. Safe to submit and drain again afterwards; the worker
-  /// pool stays parked in between. Single-client (like submit).
-  std::vector<SimReport> drain();
-
   /// Starts simulating `rrg` on the background pool immediately and
   /// returns without waiting. The borrowed Rrg must stay alive until the
   /// ticket completes (prefer the owning overload below when in doubt).
-  /// With dedup on, a candidate identical to any earlier async
-  /// submission reuses its (possibly already finished) simulation.
+  /// Validates options eagerly (throws on zero cycles/runs). With dedup
+  /// on, a candidate identical to any earlier submission reuses its
+  /// (possibly already finished) simulation: the ticket is not `fresh`.
   /// Thread-safe: any client thread may submit concurrently.
   SimTicket submit_async(const Rrg& rrg, const SimOptions& options);
   /// Owning async submission: the fleet keeps the candidate alive until
@@ -250,17 +232,18 @@ class SimFleet {
   /// when done so a month-long session stays bounded. Idempotent;
   /// thread-safe.
   void release(SimTicket ticket);
-  /// Blocks until every outstanding async job completes; returns the
-  /// reports of all not-yet-released tickets issued since the previous
-  /// wait_all(), in ticket order. The session result cache survives, so
+  /// Blocks until every outstanding job completes; returns the reports of
+  /// all not-yet-released tickets issued since the previous wait_all(),
+  /// in ticket (= submission) order. A failed wave rethrows its first
+  /// failure in ticket order, but is consumed all the same: the next
+  /// wait_all() starts past it, and each of its tickets stays
+  /// retrievable through wait(). The session result cache survives, so
   /// later submissions still dedup against everything simulated before.
   /// Single-client (the wave bookkeeping is caller-wide).
   std::vector<SimReport> wait_all();
 
   /// Async jobs submitted and not yet completed.
   std::size_t async_pending() const;
-  /// Unique simulations currently held by the async session cache.
-  std::size_t async_cache_size() const;
   /// Live + cumulative session-cache counters (entries, bytes, cap,
   /// hits/misses/evictions).
   SimCacheStats cache_stats() const;
@@ -290,36 +273,24 @@ class SimFleet {
   /// before the first spawn). Chaos tests aim real SIGKILLs with this.
   std::vector<int> proc_worker_pids() const;
 
-  std::size_t num_jobs() const { return jobs_.size(); }
   std::size_t threads() const { return threads_; }
   bool dedup() const { return dedup_; }
-  /// Workers the most recent drain() actually used (0 before any
-  /// drain): resolve_worker_count over the real work-item count.
-  std::size_t last_worker_count() const { return last_workers_; }
-  /// Persistent pool threads currently alive (0 until a drain or async
-  /// submission needs more than the calling thread; the pool grows on
-  /// demand and parks between batches).
+  /// Persistent pool threads currently alive (0 before the first
+  /// submission). The pool grows on demand to cover queued plus running
+  /// slices, up to the configured width, never shrinks, and parks
+  /// between batches.
   std::size_t pool_size() const;
-  /// Unique simulations the most recent drain() ran (== its job count
-  /// when dedup is off or no candidates repeat).
-  std::size_t last_unique_jobs() const { return last_unique_; }
 
  private:
-  struct Job {
-    const Rrg* rrg;
-    SimOptions options;
-  };
-
   /// Grows the persistent pool to `workers` threads (thread-safe). In
   /// proc mode the threads are supervisors, each owning one worker
   /// process.
   void ensure_pool(std::size_t workers);
+  /// Pool thread loop of both tiers: pops the shared queue, runs each
+  /// slice in-process (execute_slice) or -- in proc mode, where the
+  /// thread supervises one worker process -- through proc_run_slice,
+  /// then completes it (failure propagation, dedup purge, waiter wake).
   void worker_main(std::size_t slot);
-  /// Supervisor loop of the proc tier: pops the same shared queue as
-  /// worker_main, but ships each slice to this slot's worker process and
-  /// owns its crash containment (detection, bounded respawn with
-  /// backoff, re-dispatch, dedup-entry purge).
-  void proc_supervisor_main(std::size_t slot);
   /// One slice through this slot's worker process, with the crash/
   /// respawn/re-dispatch loop. Throws TransientError once the respawn
   /// budget is spent (the scheduler's retry taxonomy picks that up).
@@ -335,10 +306,6 @@ class SimFleet {
   const std::size_t threads_;
   const std::size_t proc_workers_;  ///< ELRR_PROC_WORKERS; 0 = in-process
   const bool dedup_;
-  std::size_t last_workers_ = 0;
-  std::size_t last_unique_ = 0;
-  std::vector<Job> jobs_;                  ///< sync queue (single-client)
-  std::vector<std::unique_ptr<Rrg>> sync_owned_;  ///< owning sync submissions
 
   /// Mutex, condition variables, worker threads, the shared work queue
   /// and the async session (job contexts, LRU dedup cache, tickets) --

@@ -4,7 +4,7 @@
 /// node-count and degree caps), the driver must (a) classify the cap,
 /// (b) route the job to the reference kernel, and (c) produce exactly the
 /// theta a forced reference run produces -- through simulate_throughput
-/// and through a SimFleet drain that mixes fallback jobs with flat-path
+/// and through a SimFleet wave that mixes fallback jobs with flat-path
 /// jobs in one queue. PR 2 only *reported* these caps; this suite runs
 /// them.
 
@@ -150,7 +150,7 @@ TEST(FlatCapFallback, NodeCountCapRunsOnReference) {
                             fallback_options(9, 30));
 }
 
-/// One drain mixing flat-path and every-cap fallback jobs: per-job paths
+/// One wave mixing flat-path and every-cap fallback jobs: per-job paths
 /// are classified independently and each job's theta equals its solo
 /// counterpart bit for bit, across pool sizes.
 TEST(FlatCapFallback, MixedFleetMatchesSoloJobs) {
@@ -168,9 +168,9 @@ TEST(FlatCapFallback, MixedFleetMatchesSoloJobs) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     SimFleet fleet(threads);
     for (const Rrg* rrg : {&flat, &deep, &wide_in, &wide_out}) {
-      fleet.submit(*rrg, options);
+      fleet.submit_async(*rrg, options);
     }
-    const std::vector<SimReport> reports = fleet.drain();
+    const std::vector<SimReport> reports = fleet.wait_all();
     ASSERT_EQ(reports.size(), 4u);
     EXPECT_EQ(reports[0].path, SimPath::kFlat);
     EXPECT_EQ(reports[1].fallback, FlatCap::kDeepEbChain);

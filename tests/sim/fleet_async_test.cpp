@@ -1,12 +1,12 @@
 /// \file fleet_async_test.cpp
-/// The fleet's asynchronous API: submit_async tickets complete on the
-/// background pool with results bit-identical to synchronous drains and
-/// solo simulation; the owning submit overloads keep candidates alive
-/// for exactly as long as the simulation needs them (the regression
-/// tests for the old borrow-until-drain footgun, where submit(Rrg&&) was
-/// simply deleted); and the session cache dedups identical candidates
-/// across submission waves -- the cross-iteration result cache the
-/// pipelined flow engine rides on.
+/// The fleet's submission API: submit_async tickets complete on the
+/// background pool with results bit-identical however they are collected
+/// (wait_all, per-ticket wait) and to solo simulation; the owning
+/// submit_async overload keeps candidates alive for exactly as long as
+/// the simulation needs them; wait_all's failure contract (the first
+/// failure rethrown, the wave consumed anyway); and the session cache
+/// dedups identical candidates across submission waves -- the
+/// cross-iteration result cache the pipelined flow engine rides on.
 
 #include "sim/fleet.hpp"
 
@@ -90,9 +90,10 @@ SimOptions async_options(std::uint64_t seed) {
   return options;
 }
 
-/// Async tickets reproduce the synchronous drain and solo simulation
-/// bit-exactly, whatever the pool size -- the determinism contract does
-/// not care how a job entered the fleet.
+/// A wave collected by wait_all reproduces per-ticket waits (in reverse
+/// order, on a second fleet) and solo simulation bit-exactly, whatever
+/// the pool size -- the determinism contract does not care how a result
+/// leaves the fleet.
 TEST(SimFleetAsync, TicketsMatchDrainAndSolo) {
   std::vector<Rrg> candidates;
   for (std::uint64_t s = 0; s < 6; ++s) {
@@ -109,15 +110,20 @@ TEST(SimFleetAsync, TicketsMatchDrainAndSolo) {
     const std::vector<SimReport> async_reports = fleet.wait_all();
     ASSERT_EQ(async_reports.size(), candidates.size());
 
-    SimFleet sync_fleet(threads);
+    SimFleet ticket_fleet(threads);
+    std::vector<SimTicket> waited;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      sync_fleet.submit(candidates[i], async_options(10 + i));
+      waited.push_back(
+          ticket_fleet.submit_async(candidates[i], async_options(10 + i)));
     }
-    const std::vector<SimReport> sync_reports = sync_fleet.drain();
+    std::vector<SimReport> ticket_reports(candidates.size());
+    for (std::size_t i = candidates.size(); i-- > 0;) {
+      ticket_reports[i] = ticket_fleet.wait(waited[i]);
+    }
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      EXPECT_EQ(async_reports[i].theta, sync_reports[i].theta)
+      EXPECT_EQ(async_reports[i].theta, ticket_reports[i].theta)
           << "threads " << threads << " job " << i;
-      EXPECT_EQ(async_reports[i].stderr_theta, sync_reports[i].stderr_theta);
+      EXPECT_EQ(async_reports[i].stderr_theta, ticket_reports[i].stderr_theta);
       const SimReport solo =
           simulate_throughput(candidates[i], async_options(10 + i));
       EXPECT_EQ(async_reports[i].theta, solo.theta) << "job " << i;
@@ -148,11 +154,9 @@ TEST(SimFleetAsync, WaitByTicketInAnyOrder) {
   EXPECT_EQ(ra2.stderr_theta, ra.stderr_theta);
 }
 
-/// Regression test for the borrow-until-drain footgun: the owning
-/// submit overloads move the candidate into the fleet, so a temporary
-/// that would previously have dangled (the reason submit(Rrg&&) used to
-/// be `= delete`) now outlives its simulation by construction. Under
-/// ASan a lifetime bug here is a hard failure.
+/// Lifetime regression test: the owning submit_async overload moves the
+/// candidate into the fleet, so a temporary outlives its simulation by
+/// construction. Under ASan a lifetime bug here is a hard failure.
 TEST(SimFleetAsync, OwningSubmitOutlivesTheCaller) {
   const Rrg keeper = random_rrg(300, true);  // stays alive for the oracle
   const SimOptions options = async_options(7);
@@ -166,22 +170,21 @@ TEST(SimFleetAsync, OwningSubmitOutlivesTheCaller) {
   const SimReport async_report = fleet.wait(ticket);
   EXPECT_EQ(async_report.theta, simulate_throughput(keeper, options).theta);
 
-  // The synchronous owning overload: submit temporaries, drain after the
-  // originals are gone. (With the old deleted overload this shape forced
-  // callers into a keep-alive side vector; under ASan any lifetime slip
-  // here fails hard.)
+  // A batch of owning submissions: submit temporaries, wait_all after
+  // the originals are gone. (Under ASan any lifetime slip here fails
+  // hard.)
   const Rrg oracle = random_rrg(301, false);
-  SimFleet sync_fleet(2);
+  SimFleet batch_fleet(2);
   {
     Rrg first = keeper;
     Rrg second = oracle;
-    sync_fleet.submit(std::move(first), options);
-    sync_fleet.submit(Rrg(second), options);  // prvalue temporary
-    sync_fleet.submit(std::move(second), options);
+    batch_fleet.submit_async(std::move(first), options);
+    batch_fleet.submit_async(Rrg(second), options);  // prvalue temporary
+    batch_fleet.submit_async(std::move(second), options);
   }
   const Rrg live = random_rrg(302, false);
-  sync_fleet.submit(live, options);  // borrowed lvalue still works
-  const std::vector<SimReport> reports = sync_fleet.drain();
+  batch_fleet.submit_async(live, options);  // borrowed lvalue still works
+  const std::vector<SimReport> reports = batch_fleet.wait_all();
   ASSERT_EQ(reports.size(), 4u);
   EXPECT_EQ(reports[0].theta, simulate_throughput(keeper, options).theta);
   EXPECT_EQ(reports[1].theta, simulate_throughput(oracle, options).theta);
@@ -202,7 +205,7 @@ TEST(SimFleetAsync, SessionCachePersistsAcrossWaves) {
   fleet.submit_async(other, options);
   const std::vector<SimReport> first = fleet.wait_all();
   ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(fleet.async_cache_size(), 2u);
+  EXPECT_EQ(fleet.cache_stats().entries, 2u);
 
   // Second wave: one repeat (cache hit), one fresh candidate.
   const Rrg copy = rrg;  // identical content, different object
@@ -211,7 +214,7 @@ TEST(SimFleetAsync, SessionCachePersistsAcrossWaves) {
   fleet.submit_async(fresh, options);
   const std::vector<SimReport> second = fleet.wait_all();
   ASSERT_EQ(second.size(), 2u);
-  EXPECT_EQ(fleet.async_cache_size(), 3u);  // only `fresh` was new
+  EXPECT_EQ(fleet.cache_stats().entries, 3u);  // only `fresh` was new
   EXPECT_EQ(second[0].theta, first[0].theta);
   EXPECT_EQ(second[0].stderr_theta, first[0].stderr_theta);
 
@@ -221,32 +224,42 @@ TEST(SimFleetAsync, SessionCachePersistsAcrossWaves) {
   no_dedup.submit_async(rrg, options);
   no_dedup.submit_async(rrg, options);
   const std::vector<SimReport> dup = no_dedup.wait_all();
-  EXPECT_EQ(no_dedup.async_cache_size(), 2u);
+  EXPECT_EQ(no_dedup.cache_stats().misses, 2u);
   EXPECT_EQ(dup[0].theta, dup[1].theta);
   EXPECT_EQ(dup[0].theta, first[0].theta);
 }
 
-/// Mixing styles: async tickets and a synchronous drain share the pool
-/// but not their bookkeeping -- a drain between submit_async and wait
-/// must not disturb the tickets.
-TEST(SimFleetAsync, SyncDrainBetweenAsyncSubmitAndWait) {
-  const Rrg slow = random_rrg(500, true);
-  const Rrg quick = random_rrg(501, false);
-  SimFleet fleet(2);
-  const SimTicket ticket = fleet.submit_async(slow, async_options(11));
-  fleet.submit(quick, async_options(12));
-  const std::vector<SimReport> drained = fleet.drain();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].theta,
-            simulate_throughput(quick, async_options(12)).theta);
-  EXPECT_EQ(fleet.wait(ticket).theta,
-            simulate_throughput(slow, async_options(11)).theta);
+/// wait_all's failure contract: a wave with a failed ticket rethrows the
+/// failure but is consumed all the same -- the surviving ticket stays
+/// waitable, the next wait_all starts past the wave, and the failed
+/// candidate (purged from the session cache) re-simulates fresh.
+TEST(SimFleetAsync, FailedWaveIsConsumedAndRecovers) {
+  const Rrg a = random_rrg(510, false);
+  const Rrg b = random_rrg(511, true);
+  SimOptions options = async_options(41);
+  options.runs = 1;  // one slice per candidate
+  // Solo oracles first: simulate_throughput trips `fleet.worker` too.
+  const double solo_a = simulate_throughput(a, options).theta;
+  const double solo_b = simulate_throughput(b, options).theta;
+
+  failpoint::configure("fleet.worker=once");
+  SimFleet fleet(1);  // one pool thread: A's slice takes the first hit
+  (void)fleet.submit_async(a, options);
+  const SimTicket tb = fleet.submit_async(b, options);
+  EXPECT_THROW(fleet.wait_all(), failpoint::FailPointError);
+  failpoint::reset();
+
+  EXPECT_EQ(fleet.wait(tb).theta, solo_b);
+  EXPECT_TRUE(fleet.wait_all().empty());  // the failed wave was consumed
+  const SimTicket retry = fleet.submit_async(a, options);
+  EXPECT_TRUE(retry.fresh);  // the failure was not cached
+  EXPECT_EQ(fleet.wait(retry).theta, solo_a);
 }
 
 TEST(SimFleetAsync, ObservabilityAndValidation) {
   SimFleet fleet(1);
   EXPECT_EQ(fleet.async_pending(), 0u);
-  EXPECT_EQ(fleet.async_cache_size(), 0u);
+  EXPECT_EQ(fleet.cache_stats().entries, 0u);
   EXPECT_TRUE(fleet.wait_all().empty());
 
   const Rrg rrg = figures::figure1b(0.5, true);
@@ -259,7 +272,7 @@ TEST(SimFleetAsync, ObservabilityAndValidation) {
   const SimTicket ticket = fleet.submit_async(rrg, async_options(1));
   (void)fleet.wait(ticket);
   EXPECT_EQ(fleet.async_pending(), 0u);
-  EXPECT_EQ(fleet.async_cache_size(), 1u);
+  EXPECT_EQ(fleet.cache_stats().entries, 1u);
 
   // wait_all after everything finished: reports the one outstanding
   // ticket, then nothing on the next call.
@@ -276,6 +289,9 @@ TEST(SimFleetAsync, RunningSliceCountsTowardThePoolSize) {
   const Rrg second = random_rrg(701, false);
   SimOptions options = async_options(31);
   options.runs = 1;  // one slice per job
+  // Solo oracles first: simulate_throughput trips `fleet.worker` too.
+  const double solo_first = simulate_throughput(first, options).theta;
+  const double solo_second = simulate_throughput(second, options).theta;
   // The first slice stalls on its pool thread with its heartbeat set.
   failpoint::configure("fleet.worker=stall:1000");
   SimFleet fleet(2);
@@ -290,8 +306,8 @@ TEST(SimFleetAsync, RunningSliceCountsTowardThePoolSize) {
   ASSERT_EQ(fleet.busy_workers(), 1u);  // claimed: the queue is empty
   const SimTicket b = fleet.submit_async(second, options);
   EXPECT_EQ(fleet.pool_size(), 2u);
-  EXPECT_EQ(fleet.wait(a).theta, simulate_throughput(first, options).theta);
-  EXPECT_EQ(fleet.wait(b).theta, simulate_throughput(second, options).theta);
+  EXPECT_EQ(fleet.wait(a).theta, solo_first);
+  EXPECT_EQ(fleet.wait(b).theta, solo_second);
   failpoint::reset();
 }
 

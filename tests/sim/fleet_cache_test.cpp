@@ -245,8 +245,8 @@ TEST(SimFleetCache, ConcurrentReleaseAndEvictionUnderInjectedFailure) {
   EXPECT_EQ(fleet.async_pending(), 0u);
 }
 
-/// Dedup-off fleets keep the historical async_cache_size() meaning
-/// (unique simulations ever) and never alias tickets.
+/// Dedup-off fleets still count their unique simulations (cache misses)
+/// and never alias tickets.
 TEST(SimFleetCache, DedupOffStillCountsUniqueJobs) {
   const Rrg a = random_rrg(8);
   const SimOptions options = small_options(13);
@@ -256,7 +256,7 @@ TEST(SimFleetCache, DedupOffStillCountsUniqueJobs) {
   EXPECT_TRUE(t1.fresh);
   EXPECT_TRUE(t2.fresh);  // no cache, no aliasing
   EXPECT_EQ(fleet.wait(t1).theta, fleet.wait(t2).theta);
-  EXPECT_EQ(fleet.async_cache_size(), 2u);
+  EXPECT_EQ(fleet.cache_stats().misses, 2u);
   EXPECT_EQ(fleet.cache_stats().entries, 0u);  // no cache entries exist
 }
 

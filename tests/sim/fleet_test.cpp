@@ -6,7 +6,8 @@
 /// (max_batch) or how many other candidates share the queue. Also pins
 /// the execution-path report (flat vs reference, fallback reason) and the
 /// worker-count resolution edge cases (hardware_concurrency() == 0,
-/// threads > work items).
+/// threads > work items). Batches enter the one submission path:
+/// N x submit_async, then wait_all.
 
 #include "sim/fleet.hpp"
 
@@ -14,6 +15,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/figures.hpp"
@@ -81,6 +83,19 @@ Rrg random_rrg(std::uint64_t seed, bool allow_telescopic) {
   return rrg;
 }
 
+/// Submits every (candidate, options) pair as one wave and collects the
+/// reports in submission order; `fresh` (if given) counts the tickets
+/// that started a new simulation.
+std::vector<SimReport> score_wave(
+    SimFleet& fleet, const std::vector<std::pair<const Rrg*, SimOptions>>& jobs,
+    std::size_t* fresh = nullptr) {
+  for (const auto& [rrg, options] : jobs) {
+    const SimTicket ticket = fleet.submit_async(*rrg, options);
+    if (fresh != nullptr && ticket.fresh) ++*fresh;
+  }
+  return fleet.wait_all();
+}
+
 SimOptions fleet_options(std::uint64_t seed) {
   SimOptions options;
   options.seed = seed;
@@ -90,7 +105,7 @@ SimOptions fleet_options(std::uint64_t seed) {
   return options;
 }
 
-/// Differential anchor: a fleet drain over early-only and telescopic
+/// Differential anchor: a fleet wave over early-only and telescopic
 /// candidates in one queue reproduces, job for job, the reference
 /// kernel's theta bit-exactly. The reference path shares no stepping
 /// code with the batched flat path, so this pins the whole chain
@@ -104,9 +119,8 @@ TEST_P(FleetVsReference, ThetaBitExactPerJob) {
   const SimOptions options = fleet_options(seed + 31);
 
   SimFleet fleet(3);
-  fleet.submit(plain, options);
-  fleet.submit(telescopic, options);
-  const std::vector<SimReport> reports = fleet.drain();
+  const std::vector<SimReport> reports =
+      score_wave(fleet, {{&plain, options}, {&telescopic, options}});
   ASSERT_EQ(reports.size(), 2u);
 
   SimOptions reference = options;
@@ -133,18 +147,18 @@ TEST(SimFleet, WorkerCountNeverChangesResults) {
   for (std::uint64_t s = 0; s < 6; ++s) {
     candidates.push_back(random_rrg(900 + s, (s % 2) == 1));
   }
-  const auto drain_with = [&](std::size_t threads) {
+  const auto score_with = [&](std::size_t threads) {
     SimFleet fleet(threads);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      fleet.submit(candidates[i], fleet_options(77 + i));
+      fleet.submit_async(candidates[i], fleet_options(77 + i));
     }
-    return fleet.drain();
+    return fleet.wait_all();
   };
-  const std::vector<SimReport> solo = drain_with(1);
+  const std::vector<SimReport> solo = score_with(1);
   ASSERT_EQ(solo.size(), candidates.size());
   for (const std::size_t threads : {std::size_t{2}, std::size_t{5},
                                     std::size_t{64}, std::size_t{0}}) {
-    const std::vector<SimReport> pooled = drain_with(threads);
+    const std::vector<SimReport> pooled = score_with(threads);
     ASSERT_EQ(pooled.size(), solo.size()) << "threads " << threads;
     for (std::size_t i = 0; i < solo.size(); ++i) {
       EXPECT_EQ(pooled[i].theta, solo[i].theta)
@@ -188,23 +202,24 @@ TEST(SimFleet, DedupSharesScoresAcrossIdenticalCandidates) {
   const Rrg other = random_rrg(322, false);
   const SimOptions options = fleet_options(9);
 
+  // The last job resubmits the same object.
+  const std::vector<std::pair<const Rrg*, SimOptions>> jobs = {
+      {&original, options}, {&other, options}, {&copy, options},
+      {&original, options}};
+
   SimFleet dedup_fleet(2, /*dedup=*/true);
-  dedup_fleet.submit(original, options);
-  dedup_fleet.submit(other, options);
-  dedup_fleet.submit(copy, options);
-  dedup_fleet.submit(original, options);  // same object resubmitted
-  const std::vector<SimReport> deduped = dedup_fleet.drain();
+  std::size_t dedup_fresh = 0;
+  const std::vector<SimReport> deduped =
+      score_wave(dedup_fleet, jobs, &dedup_fresh);
   ASSERT_EQ(deduped.size(), 4u);
-  EXPECT_EQ(dedup_fleet.last_unique_jobs(), 2u);
+  EXPECT_EQ(dedup_fresh, 2u);
 
   SimFleet plain_fleet(2, /*dedup=*/false);
-  plain_fleet.submit(original, options);
-  plain_fleet.submit(other, options);
-  plain_fleet.submit(copy, options);
-  plain_fleet.submit(original, options);
-  const std::vector<SimReport> undeduped = plain_fleet.drain();
+  std::size_t plain_fresh = 0;
+  const std::vector<SimReport> undeduped =
+      score_wave(plain_fleet, jobs, &plain_fresh);
   ASSERT_EQ(undeduped.size(), 4u);
-  EXPECT_EQ(plain_fleet.last_unique_jobs(), 4u);
+  EXPECT_EQ(plain_fresh, 4u);
 
   const SimReport solo = simulate_throughput(original, options);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -220,14 +235,17 @@ TEST(SimFleet, DedupSharesScoresAcrossIdenticalCandidates) {
 /// seeds (or windows) must simulate separately.
 TEST(SimFleet, DedupDistinguishesOptions) {
   const Rrg rrg = random_rrg(77, false);
-  SimFleet fleet(1);
-  fleet.submit(rrg, fleet_options(1));
-  fleet.submit(rrg, fleet_options(2));  // different seed
   SimOptions longer = fleet_options(1);
   longer.measure_cycles += 500;
-  fleet.submit(rrg, longer);
-  const std::vector<SimReport> reports = fleet.drain();
-  EXPECT_EQ(fleet.last_unique_jobs(), 3u);
+  SimFleet fleet(1);
+  std::size_t fresh = 0;
+  const std::vector<SimReport> reports =
+      score_wave(fleet,
+                 {{&rrg, fleet_options(1)},
+                  {&rrg, fleet_options(2)},  // different seed
+                  {&rrg, longer}},
+                 &fresh);
+  EXPECT_EQ(fresh, 3u);
   EXPECT_NE(reports[0].theta, reports[1].theta);
 }
 
@@ -244,76 +262,75 @@ TEST(SimFleet, DedupDistinguishesConfigurations) {
     }
   }
   SimFleet fleet(1);
-  fleet.submit(rrg, fleet_options(4));
-  fleet.submit(recycled, fleet_options(4));
-  fleet.drain();
-  EXPECT_EQ(fleet.last_unique_jobs(), 2u);
+  std::size_t fresh = 0;
+  score_wave(fleet, {{&rrg, fleet_options(4)}, {&recycled, fleet_options(4)}},
+             &fresh);
+  EXPECT_EQ(fresh, 2u);
 }
 
-/// The worker pool persists across drains: spawned once at the first
-/// multi-worker drain, parked in between, reused afterwards -- and
-/// results stay reproducible drain over drain.
+/// The worker pool persists across waves: spawned at the first
+/// submission, parked in between, reused afterwards -- and results stay
+/// reproducible wave over wave. Dedup is off so the second wave
+/// re-simulates instead of hitting the session cache. How far the pool
+/// grows depends on how fast its threads claim slices, so its size is
+/// bounded, not pinned.
 TEST(SimFleet, WorkerPoolPersistsAcrossDrains) {
   std::vector<Rrg> candidates;
   for (std::uint64_t s = 0; s < 4; ++s) {
     candidates.push_back(random_rrg(700 + s, (s % 2) == 0));
   }
-  SimFleet fleet(3);
-  EXPECT_EQ(fleet.pool_size(), 0u);  // no drain yet: nothing spawned
+  SimFleet fleet(3, /*dedup=*/false);
+  EXPECT_EQ(fleet.pool_size(), 0u);  // no submission yet: nothing spawned
 
-  const auto drain_all = [&] {
+  const auto score_all = [&] {
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      fleet.submit(candidates[i], fleet_options(40 + i));
+      fleet.submit_async(candidates[i], fleet_options(40 + i));
     }
-    return fleet.drain();
+    return fleet.wait_all();
   };
-  const std::vector<SimReport> first = drain_all();
-  EXPECT_EQ(fleet.last_worker_count(), 3u);
-  EXPECT_EQ(fleet.pool_size(), 3u);
-  const std::vector<SimReport> second = drain_all();
-  EXPECT_EQ(fleet.pool_size(), 3u);  // reused, not respawned
+  const std::vector<SimReport> first = score_all();
+  const std::size_t first_pool = fleet.pool_size();
+  EXPECT_GE(first_pool, 1u);
+  EXPECT_LE(first_pool, 3u);
+  const std::vector<SimReport> second = score_all();
+  EXPECT_GE(fleet.pool_size(), first_pool);  // reused, never shrunk
+  EXPECT_LE(fleet.pool_size(), 3u);
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(second[i].theta, first[i].theta) << "job " << i;
   }
 }
 
-/// Spawn-count rules at the edges: a single work item never spawns a
-/// pool (inline execution) no matter how many threads were requested; an
+/// Spawn-count rules at the edges: a single work item gets a pool of
+/// exactly one thread no matter how many threads were requested; an
 /// explicit thread count is honoured without consulting the hardware
 /// (resolve_worker_count never reads it when requested != 0); fewer
-/// items than threads clamp to the item count.
+/// items than threads clamp to the item count. Each fleet here takes one
+/// submission, whose slices are all queued before the pool is sized, so
+/// the sizes do not depend on thread timing.
 TEST(SimFleet, SpawnCountEdgeCases) {
   const Rrg rrg = figures::figure1b(0.5, true);
 
   SimOptions one_item = fleet_options(3);
   one_item.runs = 4;  // one full lane -> exactly one work item
   SimFleet many_threads(16);
-  many_threads.submit(rrg, one_item);
-  many_threads.drain();
-  EXPECT_EQ(many_threads.last_worker_count(), 1u);
-  EXPECT_EQ(many_threads.pool_size(), 0u);  // inline, no pool
+  (void)many_threads.wait(many_threads.submit_async(rrg, one_item));
+  EXPECT_EQ(many_threads.pool_size(), 1u);
 
   // 0 threads = hardware concurrency, whatever it reports (possibly 0 ->
   // clamped to 1); the fleet must agree with resolve_worker_count over
   // the real item count.
-  SimFleet hardware_fleet(0);
-  hardware_fleet.submit(rrg, one_item);
-  SimOptions one_item_b = one_item;
-  one_item_b.seed += 1;  // distinct job: two work items survive dedup
-  hardware_fleet.submit(rrg, one_item_b);
-  hardware_fleet.drain();
-  const std::size_t expected =
-      resolve_worker_count(0, std::thread::hardware_concurrency(), 2);
-  EXPECT_EQ(hardware_fleet.last_worker_count(), expected);
-
-  // items < threads: clamp to the queue length.
   SimOptions two_slices = fleet_options(5);
   two_slices.runs = 8;  // two 4-lane slices
+  SimFleet hardware_fleet(0);
+  (void)hardware_fleet.wait(hardware_fleet.submit_async(rrg, two_slices));
+  const std::size_t expected =
+      resolve_worker_count(0, std::thread::hardware_concurrency(), 2);
+  EXPECT_EQ(hardware_fleet.pool_size(), expected);
+
+  // items < threads: clamp to the queue length.
   SimFleet wide(32);
-  wide.submit(rrg, two_slices);
-  wide.drain();
-  EXPECT_EQ(wide.last_worker_count(), 2u);
+  (void)wide.wait(wide.submit_async(rrg, two_slices));
   EXPECT_EQ(wide.pool_size(), 2u);
 
   // An explicit request resolves without the hardware value entirely.
@@ -399,16 +416,19 @@ TEST(SimFleet, ResolveWorkerCountEdgeCases) {
 
 TEST(SimFleet, EmptyDrainAndReuse) {
   SimFleet fleet(2);
-  EXPECT_TRUE(fleet.drain().empty());
+  EXPECT_TRUE(fleet.wait_all().empty());
   const Rrg rrg = figures::figure1b(0.5, true);
   const SimOptions options = fleet_options(21);
-  EXPECT_EQ(fleet.submit(rrg, options), 0u);
-  const std::vector<SimReport> first = fleet.drain();
+  const SimTicket first_ticket = fleet.submit_async(rrg, options);
+  EXPECT_EQ(first_ticket.id, 0u);
+  EXPECT_TRUE(first_ticket.fresh);
+  const std::vector<SimReport> first = fleet.wait_all();
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(fleet.num_jobs(), 0u);  // drain clears the queue
-  // The fleet is reusable, and a resubmitted job reproduces its result.
-  fleet.submit(rrg, options);
-  const std::vector<SimReport> second = fleet.drain();
+  EXPECT_TRUE(fleet.wait_all().empty());  // wait_all consumed the wave
+  // The fleet is reusable, and a resubmitted job reproduces its result
+  // (served from the session cache).
+  EXPECT_FALSE(fleet.submit_async(rrg, options).fresh);
+  const std::vector<SimReport> second = fleet.wait_all();
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].theta, first[0].theta);
 }
@@ -418,10 +438,10 @@ TEST(SimFleet, RejectsDegenerateOptions) {
   const Rrg rrg = figures::figure1b(0.5, true);
   SimOptions no_cycles = fleet_options(1);
   no_cycles.measure_cycles = 0;
-  EXPECT_THROW(fleet.submit(rrg, no_cycles), Error);
+  EXPECT_THROW(fleet.submit_async(rrg, no_cycles), Error);
   SimOptions no_runs = fleet_options(1);
   no_runs.runs = 0;
-  EXPECT_THROW(fleet.submit(rrg, no_runs), Error);
+  EXPECT_THROW(fleet.submit_async(rrg, no_runs), Error);
 }
 
 /// More workers than runs on a single job must neither deadlock nor

@@ -25,6 +25,9 @@
 #      lifetime-bug honeypots). The fork/exec ObsProc tests are excluded
 #      there for the same reason the chaos suite is.
 #
+# Before step 1 it prints the src/ + tools/ C++ line count, the size
+# measure ROADMAP.md tracks from change to change.
+#
 # Step 4 is skipped with ELRR_SKIP_SANITIZE=1 (e.g. on machines without
 # the sanitizer runtimes). ELRR_GATE_QUICK=1 runs the fast CI variant:
 # perf_smoke --quick (the deterministic bit-exactness checks, including
@@ -52,6 +55,8 @@ GATE_TRACE="$TRACE_DIR/trace-%p.json"
 # behavior manage the env themselves.
 PM_DIR="$BUILD_DIR/postmortems"
 mkdir -p "$PM_DIR"
+
+echo "src/ + tools/ C++ lines: $(find src tools -name '*.cpp' -o -name '*.hpp' | xargs cat | wc -l)"
 
 echo "== [1/4] Release build + ctest -L sim|svc|chaos|lp|obs (traced) =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
