@@ -94,13 +94,18 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
 
   // Late-evaluation baseline: for all-simple graphs the LP bound is the
   // exact throughput, so xi_nee needs no simulation. The heuristic (when
-  // enabled) guards the baseline against MILP budget exhaustion.
+  // enabled) guards the baseline against MILP budget exhaustion. Its
+  // walk's MILP stats count in the job's, next to the early walk's.
   OptOptions late = opt;
   late.treat_all_simple = true;
   if (!options.heuristic_only) {
-    const MinEffCycResult nee = min_eff_cyc(rrg, late);
+    ParetoWalk nee_walk(rrg, late);
+    while (nee_walk.advance().has_value()) {
+    }
+    const MinEffCycResult nee = nee_walk.finish();
     result.xi_nee = nee.best().xi_lp;
     result.all_exact &= nee.all_exact;
+    result.milp = nee_walk.milp_stats();
   } else {
     result.xi_nee = cycle_time(rrg).tau;  // refined by the heuristic below
     result.all_exact = false;
@@ -154,7 +159,7 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
     result.unique_simulations += eng.unique_simulations;
     result.walk_seconds = eng.walk_seconds;
     result.sim_wait_seconds = eng.sim_wait_seconds;
-    result.milp = eng.milp;
+    result.milp += eng.milp;
     if (eng.cancelled) {
       // Cancellation stops at a step boundary: report the partial
       // frontier the engine already scored (no heuristic merge, no

@@ -159,7 +159,7 @@ struct CircuitResult {
   std::size_t unique_simulations = 0;  ///< fresh fleet jobs (rest were cached)
   double walk_seconds = 0.0;           ///< time inside ParetoWalk::advance
   double sim_wait_seconds = 0.0;       ///< time blocked on the fleet
-  lp::SessionStats milp;               ///< the walk's MILP-session stats
+  lp::SessionStats milp;  ///< MILP-session stats of both walks (NEE + early)
 };
 
 /// The per-candidate simulation window the flow scores with (seed mix,

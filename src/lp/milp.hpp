@@ -57,7 +57,9 @@ struct MilpOptions {
 struct MilpResult {
   MilpStatus status = MilpStatus::kNoSolution;
   double objective = 0.0;    ///< incumbent objective (original sense)
-  std::vector<double> x;     ///< incumbent point (integers snapped)
+  /// Incumbent point (integers snapped); NaN for the potentials, as in
+  /// LpResult::x.
+  std::vector<double> x;
   double best_bound = 0.0;   ///< proven bound on the optimum (original sense)
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;

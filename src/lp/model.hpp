@@ -30,6 +30,12 @@ struct Column {
   double obj = 0.0;
   bool is_integer = false;
   std::string name;
+
+  /// Continuous, free on both sides and absent from the objective: the
+  /// simplex does not keep the value of such a column (simplex.hpp).
+  bool is_potential() const {
+    return !is_integer && lo == -kInf && hi == kInf && obj == 0.0;
+  }
 };
 
 struct Row {

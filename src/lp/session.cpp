@@ -445,6 +445,22 @@ MilpResult solve_branch_and_bound(const Model& model,
 
 // ---------------------------------------------------------------- session
 
+SessionStats& SessionStats::operator+=(const SessionStats& other) {
+  solves += other.solves;
+  warm_attempts += other.warm_attempts;
+  warm_roots += other.warm_roots;
+  warm_seeds += other.warm_seeds;
+  warm_fallbacks += other.warm_fallbacks;
+  cold_solves += other.cold_solves;
+  presolves += other.presolves;
+  nodes += other.nodes;
+  lp_iterations += other.lp_iterations;
+  infeasible_certified += other.infeasible_certified;
+  infeasible_cold += other.infeasible_cold;
+  solve_seconds += other.solve_seconds;
+  return *this;
+}
+
 struct MilpSession::PresolveCache {
   Presolved pre;
   /// Per original row: total fixed-column substitution shift at the
@@ -471,6 +487,12 @@ void MilpSession::set_row_bounds(int row, double lo, double hi) {
 
 void MilpSession::set_col_bounds(int col, double lo, double hi) {
   model_.set_col_bounds(col, lo, hi);
+  if (engine_ && engine_->is_potential(col) && !(lo == -kInf && hi == kInf)) {
+    // The engine cannot bound a potential (its row may be stale); the
+    // next solve builds a fresh engine from the updated model.
+    engine_.reset();
+    root_state_.reset();
+  }
   if (engine_) engine_->set_col_bounds(col, lo, hi);
   if (pre_ && pre_->valid && !translate_col_change(col, lo, hi)) {
     pre_->valid = false;

@@ -89,6 +89,9 @@ struct SessionStats {
   std::int64_t infeasible_certified = 0;  ///< see MilpResult
   std::int64_t infeasible_cold = 0;
   double solve_seconds = 0.0;
+
+  /// Adds every counter of `other` (the stats of several sessions).
+  SessionStats& operator+=(const SessionStats& other);
 };
 
 /// Persistent solver session over one model structure. Only bounds,
@@ -103,6 +106,9 @@ class MilpSession {
 
   /// Per-step parameterization. Mirrors Model::set_*_bounds; the change
   /// is visible to both the warm and the cold path of the next solve().
+  /// A finite bound on a column the engine holds as a potential
+  /// (SimplexSolver::is_potential) drops the engine and the warm root
+  /// basis: the next solve starts cold on a fresh engine.
   void set_row_bounds(int row, double lo, double hi);
   void set_col_bounds(int col, double lo, double hi);
 

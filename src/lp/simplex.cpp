@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <new>
 #include <utility>
 
@@ -115,6 +116,8 @@ SimplexSolver::SimplexSolver(const Model& model, SimplexOptions options)
     lo_[slack] = row.lo;
     hi_[slack] = row.hi;
   }
+  potential_.assign(total_, 0);
+  for (int j = 0; j < n_; ++j) potential_[j] = model.col(j).is_potential();
   col_nz_.reserve(static_cast<std::size_t>(m_));
   row_spans_.reserve(static_cast<std::size_t>(total_));
 }
@@ -149,28 +152,22 @@ void SimplexSolver::build_initial_basis() {
       value_[j] = 0.0;
     }
   }
+  // Slack i is basic with value a_i . x_N: the same nonzero terms, in the
+  // same column order, as a scan of the tableau row [-A | I].
   for (int i = 0; i < m_; ++i) {
     const int slack = n_ + i;
     basis_[i] = slack;
     where_[slack] = Where::kBasic;
+    double acc = 0.0;
+    for (int k = a_start_[i]; k < a_start_[i + 1]; ++k) {
+      const double v = value_[a_entries_[k].col];
+      if (v != 0.0) acc += -a_entries_[k].coef * v;
+    }
+    value_[slack] = -acc;
   }
-  compute_basic_values();
   dj_valid_ = false;
   bland_ = false;
   degenerate_streak_ = 0;
-}
-
-void SimplexSolver::compute_basic_values() {
-  for (int i = 0; i < m_; ++i) {
-    const double* row = &tab_[static_cast<std::size_t>(i) * total_];
-    double acc = 0.0;
-    for (int j = 0; j < total_; ++j) {
-      if (where_[j] != Where::kBasic && value_[j] != 0.0) {
-        acc += row[j] * value_[j];
-      }
-    }
-    value_[basis_[i]] = -acc;
-  }
 }
 
 void SimplexSolver::compute_reduced_costs() {
@@ -205,11 +202,14 @@ bool SimplexSolver::is_dual_feasible() const {
   return true;
 }
 
+// Dead rows, whose basic variable is a potential, are left out: a
+// potential never blocks a ratio test and its value is never read, so
+// its row need not be updated.
 void SimplexSolver::gather_column(int col) {
   col_nz_.clear();
   const double* entry = &tab_[static_cast<std::size_t>(col)];
   for (int i = 0; i < m_; ++i, entry += total_) {
-    if (*entry != 0.0) col_nz_.push_back(i);
+    if (!potential_[basis_[i]] && *entry != 0.0) col_nz_.push_back(i);
   }
 }
 
@@ -673,6 +673,11 @@ LpResult SimplexSolver::resolve() {
 
 void SimplexSolver::set_col_bounds(int col, double lo, double hi) {
   ELRR_REQUIRE(col >= 0 && col < n_, "unknown structural column ", col);
+  // A basic potential's row is stale; a finite bound would make it live.
+  ELRR_REQUIRE(!potential_[col] || (lo == -kInf && hi == kInf),
+               "column ", col,
+               " is a potential (continuous, free, zero cost); it cannot "
+               "be bounded in this engine");
   set_bounds_impl(col, lo, hi);
 }
 
@@ -731,6 +736,7 @@ void SimplexSolver::set_bounds_impl(int col, double lo, double hi) {
   const double delta = new_value - value_[col];
   if (delta != 0.0) {
     for (int i = 0; i < m_; ++i) {
+      if (potential_[basis_[i]]) continue;
       const double a = tab(i, col);
       if (a != 0.0) value_[basis_[i]] -= a * delta;
     }
@@ -765,7 +771,11 @@ void SimplexSolver::restore_state(const State& state) {
 }
 
 std::vector<double> SimplexSolver::structural_values() const {
-  return std::vector<double>(value_.begin(), value_.begin() + n_);
+  std::vector<double> x(value_.begin(), value_.begin() + n_);
+  for (int j = 0; j < n_; ++j) {
+    if (potential_[j]) x[j] = std::numeric_limits<double>::quiet_NaN();
+  }
+  return x;
 }
 
 }  // namespace elrr::lp

@@ -34,6 +34,15 @@
 ///    in a full dense update, so pivots, iteration counts and answers are
 ///    bit-identical to it; only the sign of a zero entry may differ,
 ///    which no comparison observes.
+///  * A *potential* is a continuous structural column with infinite
+///    bounds and zero cost (Column::is_potential). Once basic it never
+///    leaves: it is never infeasible, never blocks a ratio test and its
+///    cost keeps its row out of the reduced costs. So its row is dead:
+///    `gather_column` leaves it out and no ratio test, value update or
+///    pivot touches it again. Live entries see the same operations, so
+///    answers are bit-identical; the potentials' values are not kept
+///    (x reports NaN), and `set_col_bounds` refuses to bound one, which
+///    would revive its stale row.
 ///  * Memory: the original matrix is kept by rows (only the tableau is
 ///    dense), and the tableau lives in page-mapped blocks outside the
 ///    malloc heap (detail::TableauAllocator). A heuristic probe builds
@@ -90,7 +99,10 @@ const char* to_string(LpStatus status);
 struct LpResult {
   LpStatus status = LpStatus::kNumericError;
   double objective = 0.0;          ///< in the model's original sense
-  std::vector<double> x;           ///< structural variable values
+  /// Structural variable values; NaN for the potentials (continuous,
+  /// free, zero-cost columns; see SimplexSolver), whose values the
+  /// engine does not keep.
+  std::vector<double> x;
   std::int64_t iterations = 0;
 };
 
@@ -118,8 +130,15 @@ class SimplexSolver {
   LpResult resolve();
 
   /// Tightens/changes bounds of a structural column. Keeps the tableau
-  /// consistent; call resolve() afterwards.
+  /// consistent; call resolve() afterwards. A potential only accepts
+  /// (-inf, inf); any finite bound on it throws.
   void set_col_bounds(int col, double lo, double hi);
+
+  /// True when structural column `col` was a potential at construction:
+  /// continuous, both bounds infinite, objective coefficient 0.
+  bool is_potential(int col) const {
+    return col >= 0 && col < n_ && potential_[col] != 0;
+  }
 
   /// Changes the activity range of a row (its slack variable's bounds).
   /// Same contract as set_col_bounds: tableau stays consistent, follow
@@ -132,7 +151,8 @@ class SimplexSolver {
   State save_state() const;
   void restore_state(const State& state);
 
-  /// Last computed structural solution (valid after solve/resolve).
+  /// Last computed structural solution (valid after solve/resolve);
+  /// NaN for the potentials.
   std::vector<double> structural_values() const;
 
   std::int64_t total_iterations() const { return iterations_; }
@@ -161,6 +181,8 @@ class SimplexSolver {
   /// holds a_entries_[a_start_[i] .. a_start_[i + 1]).
   std::vector<int> a_start_;
   std::vector<ColEntry> a_entries_;
+  /// Per variable (size total_): 1 for a potential; slacks are never one.
+  std::vector<std::uint8_t> potential_;
 
   // --- engine state ---
   /// m_ x total_ current tableau B^-1 [A|-I]
@@ -192,11 +214,10 @@ class SimplexSolver {
 
   void set_bounds_impl(int idx, double lo, double hi);
   void build_initial_basis();
-  void compute_basic_values();
   void compute_reduced_costs();
   bool is_dual_feasible() const;
-  /// Collects the rows with a nonzero in column `col` into col_nz_, in
-  /// increasing order. Every column scan of an iteration (ratio test,
+  /// Collects the live rows with a nonzero in column `col` into col_nz_,
+  /// in increasing order. Every column scan of an iteration (ratio test,
   /// value update, pivot) walks that list.
   void gather_column(int col);
   /// Pivots `col` into the basis at `row`; col_nz_ must hold the

@@ -886,19 +886,7 @@ std::string Scheduler::stats_json() const {
           entry->state == JobState::kRunning) {
         continue;
       }
-      const lp::SessionStats& m = entry->result.circuit.milp;
-      milp.solves += m.solves;
-      milp.warm_attempts += m.warm_attempts;
-      milp.warm_roots += m.warm_roots;
-      milp.warm_seeds += m.warm_seeds;
-      milp.warm_fallbacks += m.warm_fallbacks;
-      milp.cold_solves += m.cold_solves;
-      milp.presolves += m.presolves;
-      milp.nodes += m.nodes;
-      milp.lp_iterations += m.lp_iterations;
-      milp.infeasible_certified += m.infeasible_certified;
-      milp.infeasible_cold += m.infeasible_cold;
-      milp.solve_seconds += m.solve_seconds;
+      milp += entry->result.circuit.milp;
     }
   }
   std::string out;

@@ -13,6 +13,8 @@
 
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
+#include "core/opt.hpp"
+#include "lp/session.hpp"
 #include "support/error.hpp"
 
 namespace elrr::flow {
@@ -90,6 +92,45 @@ TEST(Flow, HeuristicMergeNeverHurts) {
   EXPECT_LE(b.xi_nee, a.xi_nee + 1e-6);
   // xi_sim_min compares simulated values; allow a whisker of sim noise.
   EXPECT_LE(b.xi_sim_min, a.xi_sim_min * 1.03);
+}
+
+TEST(Flow, MilpStatsCountBothWalks) {
+  // A job's MILP block covers the late-evaluation (NEE) walk as well as
+  // the early-evaluation walk: on a circuit whose MILPs all finish it is
+  // the sum of the two walks' session stats, run standalone.
+  FlowOptions options = fast_options(1);
+  options.milp_timeout_s = 30.0;  // never reached on s208
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s208"), 1);
+  const CircuitResult r = run_flow("s208", rrg, options);
+  ASSERT_TRUE(r.all_exact);
+
+  OptOptions early;
+  early.epsilon = options.epsilon;
+  early.milp.time_limit_s = options.milp_timeout_s;
+  early.polish = options.polish;
+  early.milp_warm = options.milp_warm;
+  OptOptions late = early;
+  late.treat_all_simple = true;
+  lp::SessionStats sum;
+  for (const OptOptions& opt : {late, early}) {
+    ParetoWalk walk(rrg, opt);
+    while (walk.advance().has_value()) {
+    }
+    EXPECT_GT(walk.milp_stats().solves, 0);
+    sum += walk.milp_stats();
+  }
+  EXPECT_EQ(r.milp.solves, sum.solves);
+  EXPECT_EQ(r.milp.warm_attempts, sum.warm_attempts);
+  EXPECT_EQ(r.milp.warm_roots, sum.warm_roots);
+  EXPECT_EQ(r.milp.warm_seeds, sum.warm_seeds);
+  EXPECT_EQ(r.milp.warm_fallbacks, sum.warm_fallbacks);
+  EXPECT_EQ(r.milp.cold_solves, sum.cold_solves);
+  EXPECT_EQ(r.milp.presolves, sum.presolves);
+  EXPECT_EQ(r.milp.nodes, sum.nodes);
+  EXPECT_EQ(r.milp.lp_iterations, sum.lp_iterations);
+  EXPECT_EQ(r.milp.infeasible_certified, sum.infeasible_certified);
+  EXPECT_EQ(r.milp.infeasible_cold, sum.infeasible_cold);
+  EXPECT_GT(r.milp.solve_seconds, 0.0);
 }
 
 TEST(Flow, EnvOptionsParse) {

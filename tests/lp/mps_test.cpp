@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -256,7 +257,13 @@ TEST(Mps, GoldenParsesBackToTheSameMilp) {
     EXPECT_EQ(a.objective, b.objective) << g.circuit;
     ASSERT_EQ(a.x.size(), b.x.size());
     for (std::size_t j = 0; j < a.x.size(); ++j) {
-      EXPECT_EQ(a.x[j], b.x[j]) << g.circuit << " col " << j;
+      if (built.col(static_cast<int>(j)).is_potential()) {
+        // The simplex keeps no value for a potential: NaN in both.
+        EXPECT_TRUE(std::isnan(a.x[j]) && std::isnan(b.x[j]))
+            << g.circuit << " potential col " << j;
+      } else {
+        EXPECT_EQ(a.x[j], b.x[j]) << g.circuit << " col " << j;
+      }
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "bench89/generator.hpp"
 #include "core/rrg.hpp"
 #include "core/tgmg.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace elrr::lp {
@@ -530,6 +531,157 @@ TEST(SimplexPinned, WarmBoundSequencesMatchFreshSolves) {
   EXPECT_EQ(warm_iterations, 592);
   EXPECT_EQ(fresh_iterations, 12626);
   EXPECT_EQ(digest, 9397783491170452291u);
+}
+
+// ---------------------------------------------------------------------------
+// Potentials: continuous, free, zero-cost columns. Once basic, their rows
+// are dead and never pivoted again; nothing else may move.
+
+Model random_lp_with_potentials(elrr::Rng& rng, int n_boxed, int n_free,
+                                int n_rows) {
+  // Feasible by construction at a random point x0, like random_sparse_lp.
+  // The zero-cost columns sit between the boxed ones and carry most rows;
+  // a few of them just miss being potentials (integer, or bounded below),
+  // and those keep their values.
+  Model m;
+  if (rng.bernoulli(0.5)) m.set_sense(Sense::kMaximize);
+  std::vector<double> x0;
+  std::vector<bool> zero_cost;
+  int boxed = 0;
+  int free = 0;
+  while (boxed < n_boxed || free < n_free) {
+    if (free < n_free && (boxed == n_boxed || rng.bernoulli(0.4))) {
+      const double kind = rng.uniform(0, 1);
+      x0.push_back(rng.uniform(-5, 5));
+      if (kind < 0.6) {
+        m.add_col(-kInf, kInf, 0.0);
+      } else if (kind < 0.8) {
+        m.add_col(-kInf, kInf, 0.0, true);
+      } else {
+        m.add_col(x0.back() - rng.uniform(0, 3), kInf, 0.0);
+      }
+      zero_cost.push_back(true);
+      ++free;
+    } else {
+      const double lo = rng.uniform(-4, 0);
+      const double hi = lo + rng.uniform(1, 8);
+      m.add_col(lo, hi, rng.uniform(-3, 3));
+      x0.push_back(rng.uniform(lo, hi));
+      zero_cost.push_back(false);
+      ++boxed;
+    }
+  }
+  for (int i = 0; i < n_rows; ++i) {
+    std::vector<ColEntry> entries;
+    double activity = 0.0;
+    for (int j = 0; j < m.num_cols(); ++j) {
+      if (!rng.bernoulli(zero_cost[static_cast<std::size_t>(j)] ? 0.3 : 0.2)) {
+        continue;
+      }
+      const double coef = rng.uniform(-2, 2);
+      entries.push_back({j, coef});
+      activity += coef * x0[static_cast<std::size_t>(j)];
+    }
+    const double hi = activity + rng.uniform(0, 2);
+    if (rng.bernoulli(0.5)) m.add_row(-kInf, hi, std::move(entries));
+    else m.add_row(activity - rng.uniform(0, 2), hi, std::move(entries));
+  }
+  return m;
+}
+
+std::uint64_t mix(std::uint64_t digest, std::uint64_t value) {
+  return (digest ^ value) * 0x100000001b3ULL;
+}
+
+TEST(SimplexPinned, PotentialsKeepBoundSequencesBitExact) {
+  // One engine per random LP, driven through solve() and 12 bound-change
+  // resolve() steps, the way branch & bound drives it. Status, objective
+  // bits and the non-potential values of every step, and the iteration
+  // total, are pinned to the values of the engine that still pivoted the
+  // rows of basic potentials. Potentials read NaN.
+  std::int64_t iterations = 0;
+  std::uint64_t digest = 0;
+  int optimal = 0;
+  int infeasible = 0;
+  for (int seed = 0; seed < 60; ++seed) {
+    elrr::Rng rng(static_cast<std::uint64_t>(seed) * 40503u + 11);
+    const int n_boxed = 6 + static_cast<int>(rng.uniform_int(0, 12));
+    const int n_free = 2 + static_cast<int>(rng.uniform_int(0, 8));
+    const int n_rows = 6 + static_cast<int>(rng.uniform_int(0, 14));
+    const Model m = random_lp_with_potentials(rng, n_boxed, n_free, n_rows);
+    SimplexSolver engine(m);
+    const auto record = [&](const LpResult& r) {
+      digest = mix(digest, static_cast<std::uint64_t>(r.status));
+      if (r.status == LpStatus::kInfeasible) ++infeasible;
+      if (r.status != LpStatus::kOptimal) return;
+      ++optimal;
+      digest = mix(digest, std::bit_cast<std::uint64_t>(r.objective + 0.0));
+      for (int j = 0; j < m.num_cols(); ++j) {
+        const double v = r.x[static_cast<std::size_t>(j)];
+        if (m.col(j).is_potential()) {
+          EXPECT_TRUE(std::isnan(v)) << "seed " << seed << " col " << j;
+        } else {
+          digest = mix(digest, std::bit_cast<std::uint64_t>(v + 0.0));
+        }
+      }
+    };
+    record(engine.solve());
+    for (int step = 0; step < 12; ++step) {
+      const int j = static_cast<int>(rng.uniform_int(0, m.num_cols() - 1));
+      const Column& c = m.col(j);
+      double lo = c.lo;
+      double hi = c.hi;
+      // Narrow a boxed column, as a branch would, or relax it; the
+      // other columns, potentials among them, get their bounds re-imposed.
+      if (std::isfinite(c.lo) && std::isfinite(c.hi) && rng.bernoulli(0.75)) {
+        lo = rng.uniform(c.lo, c.hi);
+        hi = rng.uniform(lo, c.hi);
+      }
+      engine.set_col_bounds(j, lo, hi);
+      record(engine.resolve());
+    }
+    iterations += engine.total_iterations();
+  }
+  EXPECT_GT(optimal, 0);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_EQ(iterations, 1790);
+  EXPECT_EQ(digest, 7532569070519526051u);
+}
+
+TEST(SimplexPotentials, EngineRefusesToBoundAPotential) {
+  // min y st y - p >= 1, p + z >= 0, y, z in [0, 10], p free.
+  Model m;
+  const int y = m.add_col(0, 10, 1.0);
+  const int p = m.add_col(-kInf, kInf, 0.0);
+  const int z = m.add_col(0, 10, 0.0);
+  m.add_row(1, kInf, {{y, 1.0}, {p, -1.0}});
+  m.add_row(0, kInf, {{p, 1.0}, {z, 1.0}});
+  SimplexSolver solver(m);
+  EXPECT_FALSE(solver.is_potential(y));
+  EXPECT_TRUE(solver.is_potential(p));
+  EXPECT_FALSE(solver.is_potential(z));
+  EXPECT_FALSE(solver.is_potential(-1));
+  EXPECT_FALSE(solver.is_potential(3));
+  const LpResult r = solver.solve();
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 0.0, 1e-9);
+  EXPECT_TRUE(std::isnan(r.x[static_cast<std::size_t>(p)]));
+  EXPECT_THROW(solver.set_col_bounds(p, 0.0, kInf), elrr::Error);
+  EXPECT_THROW(solver.set_col_bounds(p, -kInf, 3.0), elrr::Error);
+  EXPECT_THROW(solver.set_col_bounds(p, 1.0, 1.0), elrr::Error);
+  // Re-imposing (-inf, inf) is legal and changes nothing.
+  solver.set_col_bounds(p, -kInf, kInf);
+  const LpResult again = solver.resolve();
+  ASSERT_EQ(again.status, LpStatus::kOptimal);
+  EXPECT_EQ(again.objective, r.objective);
+  // A bounded copy of the model has no potential there.
+  m.set_col_bounds(p, 2.0, kInf);
+  SimplexSolver bounded(m);
+  EXPECT_FALSE(bounded.is_potential(p));
+  const LpResult b = bounded.solve();
+  ASSERT_EQ(b.status, LpStatus::kOptimal);
+  EXPECT_NEAR(b.objective, 3.0, 1e-9);
+  EXPECT_NEAR(b.x[static_cast<std::size_t>(p)], 2.0, 1e-9);
 }
 
 }  // namespace
