@@ -17,8 +17,10 @@
 /// reports the isolation overhead, with the same bit-exactness gate. The
 /// `bnb` section times full branch & bound (three exact Pareto walks) and
 /// gates its node count exactly; the `tput`
-/// section times the heuristic's cold throughput LPs and gates their
-/// simplex iterations exactly.
+/// section times the early-evaluation heuristic's cold throughput LPs and
+/// gates their simplex iterations exactly; the `late` section times the
+/// late-evaluation probe (evaluate_rrg's certified cycle ratio) and gates
+/// Howard's iterations exactly.
 ///
 ///   perf_smoke [output.json] [--quick] [--baseline <file.json>]
 ///
@@ -54,10 +56,12 @@
 #include <vector>
 
 #include "bench89/generator.hpp"
+#include "core/analysis.hpp"
 #include "core/opt.hpp"
 #include "core/tgmg.hpp"
 #include "flow/circuit_flow.hpp"
 #include "flow/engine.hpp"
+#include "graph/howard.hpp"
 #include "io/rrg_format.hpp"
 #include "lp/session.hpp"
 #include "lp/simplex.hpp"
@@ -764,10 +768,11 @@ struct TputRow {
 /// solves. Gated exactly: tests/lp/simplex_test.cpp pins each LP's count.
 constexpr std::int64_t kTputIterations = 765;
 
-/// The heuristic's probe: a cold throughput LP (11) -- TGMG refinement,
-/// model build and one simplex solve, what throughput_upper_bound does
-/// -- on the identity configurations of generated s953, s641 and s344
-/// (seed 1), the circuits that run heuristic-only. Reports the median
+/// The early-evaluation probe: a cold throughput LP (11) -- TGMG
+/// refinement, model build and one simplex solve, what
+/// throughput_upper_bound does -- on the identity configurations of
+/// generated s953, s641 and s344 (seed 1), the circuits that run
+/// heuristic-only. Reports the median
 /// wall time of k passes and the simplex iterations, which must repeat
 /// across passes and equal kTputIterations; every theta must equal
 /// throughput_upper_bound's bit for bit.
@@ -802,6 +807,64 @@ TputRow measure_tput() {
   std::sort(seconds.begin(), seconds.end());
   row.seconds = seconds[seconds.size() / 2];
   row.bit_exact &= row.lp_iterations == kTputIterations;
+  return row;
+}
+
+struct LateRow {
+  double seconds = 0.0;  ///< median wall time of one pass over the RRGs
+  std::int64_t howard_iterations = 0;
+  bool bit_exact = false;
+};
+
+/// Policy-evaluation rounds of the three Howard runs behind measure_late.
+/// A deterministic work counter, gated exactly. Every cycle of an
+/// identity configuration has R = R0, so each run converges in one round.
+constexpr std::int64_t kLateHowardIterations = 3;
+
+/// The late-evaluation probe: evaluate_rrg on the all-simple identity
+/// configurations of generated s953, s641 and s344 (seed 1), which it
+/// scores with the certified Howard cycle ratio instead of LP (11).
+/// Reports the median wall time of k passes. Outside the timed loop it
+/// counts Howard's rounds, which must equal kLateHowardIterations, and
+/// solves the LPs: every theta must equal late_eval_throughput's bit for
+/// bit and the LP's within 1e-9.
+LateRow measure_late() {
+  LateRow row;
+  row.bit_exact = true;
+  std::vector<elrr::Rrg> rrgs;
+  for (const char* circuit : {"s953", "s641", "s344"}) {
+    rrgs.push_back(elrr::as_all_simple(make_candidate(circuit, 1, false)));
+  }
+  std::vector<double> lp_thetas;
+  for (const elrr::Rrg& rrg : rrgs) {
+    std::vector<std::int64_t> cost, time;
+    for (elrr::EdgeId e = 0; e < rrg.num_edges(); ++e) {
+      cost.push_back(rrg.tokens(e));
+      time.push_back(rrg.buffers(e));
+    }
+    row.howard_iterations +=
+        elrr::graph::howard_min_cycle_ratio(rrg.graph(), cost, time)
+            .iterations;
+    lp_thetas.push_back(
+        elrr::tgmg_throughput_bound(elrr::refined_tgmg(rrg)).theta);
+  }
+  const int passes = quick ? 1 : 31;
+  std::vector<double> seconds;
+  for (int pass = 0; pass < passes; ++pass) {
+    std::vector<double> thetas;
+    const Clock::time_point t0 = Clock::now();
+    for (const elrr::Rrg& rrg : rrgs) {
+      thetas.push_back(elrr::evaluate_rrg(rrg).theta_lp);
+    }
+    seconds.push_back(seconds_since(t0));
+    for (std::size_t i = 0; i < rrgs.size(); ++i) {
+      row.bit_exact &= thetas[i] == elrr::late_eval_throughput(rrgs[i]) &&
+                       std::abs(thetas[i] - lp_thetas[i]) <= 1e-9;
+    }
+  }
+  std::sort(seconds.begin(), seconds.end());
+  row.seconds = seconds[seconds.size() / 2];
+  row.bit_exact &= row.howard_iterations == kLateHowardIterations;
   return row;
 }
 
@@ -1088,7 +1151,7 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                ",\n    \"tput\": {\"workload\": "
                "\"cold throughput LPs (11) of the identity configurations "
-               "of s953/s641/s344, the heuristic's probe\", "
+               "of s953/s641/s344, the early-evaluation probe\", "
                "\"seconds\": %.4f, \"lp_iterations\": %lld, "
                "\"bit_exact\": %s}",
                tput.seconds, static_cast<long long>(tput.lp_iterations),
@@ -1102,6 +1165,32 @@ int main(int argc, char** argv) {
       const double ratio = *prev / tput.seconds;
       std::printf(", %.2fx vs baseline", ratio);
       std::snprintf(ratio_buf, sizeof(ratio_buf), "%s\"tput\": %.2f",
+                    ratios.empty() ? "" : ", ", ratio);
+      ratios += ratio_buf;
+    }
+  }
+  std::printf("\n");
+
+  const LateRow late = measure_late();
+  all_bit_exact &= late.bit_exact;
+  std::fprintf(out,
+               ",\n    \"late\": {\"workload\": "
+               "\"evaluate_rrg on the all-simple identity configurations of "
+               "s953/s641/s344 (certified Howard cycle ratio), the "
+               "late-evaluation probe\", "
+               "\"seconds\": %.6f, \"howard_iterations\": %lld, "
+               "\"bit_exact\": %s}",
+               late.seconds, static_cast<long long>(late.howard_iterations),
+               late.bit_exact ? "true" : "false");
+  std::printf("late       (3 RRGs): %.6fs, %lld Howard iterations, %s",
+              late.seconds, static_cast<long long>(late.howard_iterations),
+              late.bit_exact ? "bit-exact" : "MISMATCH");
+  if (baseline) {
+    if (const auto prev =
+            elrr::bench_json::find_number(baseline->text, "late", "seconds")) {
+      const double ratio = *prev / late.seconds;
+      std::printf(", %.2fx vs baseline", ratio);
+      std::snprintf(ratio_buf, sizeof(ratio_buf), "%s\"late\": %.2f",
                     ratios.empty() ? "" : ", ", ratio);
       ratios += ratio_buf;
     }

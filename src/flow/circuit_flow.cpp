@@ -8,6 +8,7 @@
 
 #include "flow/engine.hpp"
 #include "heur/heuristic.hpp"
+#include "obs/trace.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
@@ -15,11 +16,12 @@
 
 namespace elrr::flow {
 
-// Every probe solves one throughput LP of about two rows per edge. The
-// simplex pivot skips the zeros of those sparse LPs, so a probe costs far
-// less than its dense tableau suggests; the budgets below still stay
-// where they are, because a larger budget visits more candidates and so
-// changes the answers.
+// Every probe scores one configuration: on the late-evaluation (all
+// simple) heuristic a certified Howard cycle ratio, on the early one a
+// throughput LP of about two rows per edge whose sparse pivots skip the
+// zeros. Both cost far less than a dense tableau would; the budgets
+// below still stay where they are, because a larger budget visits more
+// candidates and so changes the answers.
 HeuristicOptions scaled_heuristic(const Rrg& rrg) {
   HeuristicOptions hopt;
   const std::size_t edges = rrg.num_edges();
@@ -99,8 +101,16 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
   OptOptions late = opt;
   late.treat_all_simple = true;
   if (!options.heuristic_only) {
+    // Timed and traced per step like the early walk inside the Engine, so
+    // walk_seconds and the `walk.step` spans cover both walks.
     ParetoWalk nee_walk(rrg, late);
-    while (nee_walk.advance().has_value()) {
+    for (bool emitted = true; emitted;) {
+      Stopwatch step;
+      {
+        OBS_SPAN("walk.step");
+        emitted = nee_walk.advance().has_value();
+      }
+      result.walk_seconds += step.seconds();
     }
     const MinEffCycResult nee = nee_walk.finish();
     result.xi_nee = nee.best().xi_lp;
@@ -157,7 +167,7 @@ CircuitResult run_flow(const std::string& name, const Rrg& rrg,
     result.candidates_walked = eng.candidates_submitted;
     result.sim_jobs += eng.candidates_submitted;
     result.unique_simulations += eng.unique_simulations;
-    result.walk_seconds = eng.walk_seconds;
+    result.walk_seconds += eng.walk_seconds;
     result.sim_wait_seconds = eng.sim_wait_seconds;
     result.milp += eng.milp;
     if (eng.cancelled) {

@@ -157,7 +157,9 @@ struct CircuitResult {
   std::size_t candidates_walked = 0;   ///< walk emissions (pre-dedup)
   std::size_t sim_jobs = 0;            ///< fleet submissions this flow made
   std::size_t unique_simulations = 0;  ///< fresh fleet jobs (rest were cached)
-  double walk_seconds = 0.0;           ///< time inside ParetoWalk::advance
+  /// Time inside ParetoWalk::advance, summed over both walks (late and
+  /// early evaluation), MILP solves included.
+  double walk_seconds = 0.0;
   double sim_wait_seconds = 0.0;       ///< time blocked on the fleet
   lp::SessionStats milp;  ///< MILP-session stats of both walks (NEE + early)
 };

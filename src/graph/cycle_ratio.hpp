@@ -6,12 +6,14 @@
 ///
 /// For a strongly connected marked graph (no early evaluation) with
 /// tokens R0' as costs and buffer counts R' as times, the steady-state
-/// throughput equals min(1, MCR) — giving an exact, solver-independent
-/// oracle for the LP throughput bound and for the simulators.
+/// throughput equals min(1, MCR).
 ///
 /// Implemented with Lawler's parametric search (binary search on the ratio
 /// with Bellman-Ford negative-cycle detection), followed by an exact
-/// rational snap when costs and times are integers.
+/// rational snap when costs and times are integers. This is the test
+/// oracle: production scores late-only configurations with Howard's
+/// certified policy iteration (howard.hpp), and the property tests check
+/// that the two agree bit for bit.
 
 #include <cstdint>
 #include <vector>

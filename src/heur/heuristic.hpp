@@ -40,7 +40,8 @@ struct HeuristicOptions {
   int max_polish_rounds = 8;
   /// Skip the polish entirely (ablation knob).
   bool polish = true;
-  /// Hard cap on throughput-LP evaluations (the cost driver).
+  /// Hard cap on throughput evaluations (the cost driver): LP (11), or
+  /// the certified cycle ratio on a late-only RRG (core/analysis.hpp).
   int max_lp_evals = 4000;
   /// Critical-path edges probed per walk round (evenly subsampled when
   /// the path is longer). Keeps a small LP budget spread over many
@@ -52,7 +53,7 @@ struct HeuristicResult {
   /// Non-dominated configurations found, sorted by increasing tau.
   std::vector<ParetoPoint> points;
   std::size_t best_index = 0;
-  int lp_evals = 0;        ///< throughput LPs solved
+  int lp_evals = 0;        ///< throughput evaluations (evaluate_config)
   double seconds = 0.0;
 
   const ParetoPoint& best() const { return points[best_index]; }

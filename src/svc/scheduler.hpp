@@ -146,7 +146,10 @@ struct JobStats {
   /// work. Schedule-dependent, like the wall-clock fields.
   std::size_t stalled_workers = 0;
   double wall_seconds = 0.0;   ///< queue-exit to completion
-  double walk_seconds = 0.0;   ///< cpu inside ParetoWalk::advance
+  /// Wall time inside ParetoWalk::advance over the job's walks (a flow
+  /// job's late and early evaluation walks; a MIN_CYC job: its min_cyc
+  /// call).
+  double walk_seconds = 0.0;
   double sim_wait_seconds = 0.0;  ///< blocked on the fleet
   /// kPortfolio: the heuristic leg's anytime answer, published the moment
   /// it completes (status() streams it while the exact leg still runs).

@@ -133,6 +133,24 @@ TEST(Flow, MilpStatsCountBothWalks) {
   EXPECT_GT(r.milp.solve_seconds, 0.0);
 }
 
+TEST(Flow, WalkSecondsCoverTheLateWalk) {
+  // walk_seconds times every ParetoWalk::advance of both walks, and each
+  // of their MILP solves runs inside one, so it is at least the solve
+  // time the milp block sums over the two walks. Timing the early walk
+  // alone falls short of that on these circuits: the late walk's solves
+  // are about a third of the total.
+  FlowOptions options = fast_options(1);
+  options.milp_timeout_s = 30.0;  // never reached on these circuits
+  options.use_heuristic = false;
+  for (const char* name : {"s208", "s420"}) {
+    const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name(name), 1);
+    const CircuitResult r = run_flow(name, rrg, options);
+    EXPECT_GT(r.milp.solve_seconds, 0.0) << name;
+    EXPECT_GE(r.walk_seconds, r.milp.solve_seconds) << name;
+    EXPECT_LE(r.walk_seconds, r.seconds) << name;
+  }
+}
+
 TEST(Flow, EnvOptionsParse) {
   const FlowOptions options = FlowOptions::from_env();
   EXPECT_GT(options.epsilon, 0.0);

@@ -1,7 +1,8 @@
 /// \file howard_karp_test.cpp
-/// Howard policy iteration and Karp minimum mean cycle as independent
-/// minimum-cycle-ratio oracles, cross-checked against Lawler's
-/// parametric search (cycle_ratio.hpp) on hand cases and random graphs.
+/// Howard policy iteration (the production minimum-cycle-ratio solver)
+/// and Karp minimum mean cycle, cross-checked against Lawler's
+/// parametric search (cycle_ratio.hpp, the oracle) on hand cases and
+/// random graphs.
 
 #include <gtest/gtest.h>
 

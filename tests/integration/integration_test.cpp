@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bench89/generator.hpp"
 #include "core/analysis.hpp"
 #include "core/figures.hpp"
 #include "core/opt.hpp"
+#include "graph/cycle_ratio.hpp"
 #include "graph/howard.hpp"
 #include "io/rrg_format.hpp"
 
@@ -66,8 +69,9 @@ TEST(Integration, PresolvePreservesRrMilpOptima) {
 }
 
 TEST(Integration, HowardAgreesWithLateThroughputOnSuiteCircuits) {
-  // late_eval_throughput (Lawler under the hood) vs Howard on the real
-  // token/buffer structures of the Table-2 circuits.
+  // late_eval_throughput (Howard under the hood) vs Lawler's parametric
+  // search, the oracle, on the real token/buffer structures of the
+  // Table-2 circuits: the same exact ratio, so the same double.
   for (const char* name : {"s208", "s27", "s838", "s420", "s382"}) {
     const Rrg rrg =
         bench89::make_table2_rrg(bench89::spec_by_name(name), 1);
@@ -77,11 +81,13 @@ TEST(Integration, HowardAgreesWithLateThroughputOnSuiteCircuits) {
       time.push_back(rrg.buffers(e));
     }
     // Liveness guarantees every cycle has a token, hence a buffer, hence
-    // positive cycle time: Howard's precondition holds.
+    // positive cycle time: both solvers' precondition holds.
     const auto howard =
         graph::howard_min_cycle_ratio(rrg.graph(), cost, time);
+    const auto lawler = graph::min_cycle_ratio(rrg.graph(), cost, time);
     const double late = late_eval_throughput(rrg);
-    EXPECT_NEAR(late, std::min(1.0, howard.ratio), 1e-9) << name;
+    EXPECT_EQ(late, std::min(1.0, lawler.ratio)) << name;
+    EXPECT_EQ(howard.ratio, lawler.ratio) << name;
   }
 }
 

@@ -1144,6 +1144,7 @@ int cmd_bench_diff(Args& args, std::ostream& out) {
       {"batch", "scheduler_seconds", false},
       {"milp", "warm_seconds", false},
       {"tput", "seconds", false},
+      {"late", "seconds", false},
       {"proc", "proc_seconds", false},
       {"obs", "fleet_seconds", false, 0.02},
       // The armed flight recorder rides the same 2% gate: one event per
