@@ -709,7 +709,7 @@ struct BnbRow {
 /// Branch & bound nodes of the three walks measure_bnb runs. A
 /// deterministic work counter, gated exactly: tests/lp/session_test.cpp
 /// pins the same trees per circuit.
-constexpr std::int64_t kBnbNodes = 836;
+constexpr std::int64_t kBnbNodes = 831;
 
 /// Full branch & bound: the warm MIN_EFF_CYC Pareto walks of s208, s420
 /// and s838, every MILP solved to proven optimality -- the work the
@@ -766,7 +766,7 @@ struct TputRow {
 
 /// Simplex iterations of the three cold throughput LPs measure_tput
 /// solves. Gated exactly: tests/lp/simplex_test.cpp pins each LP's count.
-constexpr std::int64_t kTputIterations = 765;
+constexpr std::int64_t kTputIterations = 159;
 
 /// The early-evaluation probe: a cold throughput LP (11) -- TGMG
 /// refinement, model build and one simplex solve, what

@@ -1,6 +1,8 @@
 #include "core/tgmg.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "graph/bellman_ford.hpp"
@@ -146,42 +148,107 @@ Tgmg refined_tgmg(const Rrg& rrg) { return procedure2(procedure1(rrg)); }
 ThroughputLp build_throughput_lp(const Tgmg& tgmg) {
   tgmg.validate();
   const Digraph& g = tgmg.graph();
+  const std::size_t num_nodes = tgmg.num_nodes();
+
+  // A simple node whose only input edge e = (u, n) is not a self-loop
+  // has sigma(n) with a positive coefficient in e's row alone, so
+  // eliminating it (Fourier-Motzkin) substitutes its tight value
+  // sigma(u) + m0(e) - delta(n) phi everywhere else.
+  const auto chained = [&](NodeId n) {
+    return !tgmg.is_early(n) && g.in_degree(n) == 1 &&
+           g.src(g.in_edges(n)[0]) != n;
+  };
+  const auto pred = [&](NodeId n) { return g.src(g.in_edges(n)[0]); };
+
+  // Every node resolves to an anchor a, a node that keeps its sigma:
+  // sigma(n) = sigma(a) + tokens - delay phi, summed along the chain.
+  struct Link {
+    NodeId anchor;
+    std::int64_t tokens;
+    double delay;
+  };
+  std::vector<Link> link(num_nodes);
+  std::vector<std::uint8_t> done(num_nodes, 0);
+  std::vector<std::uint8_t> on_path(num_nodes, 0);
+  std::vector<NodeId> path;
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    while (!done[n]) {
+      path.clear();
+      NodeId x = n;
+      while (!done[x] && chained(x) && !on_path[x]) {
+        on_path[x] = 1;
+        path.push_back(x);
+        x = pred(x);
+      }
+      for (const NodeId p : path) on_path[p] = 0;
+      if (!done[x]) {
+        // x is an anchor, or the walk came back to x around a ring of
+        // chained nodes: the ring's lowest node anchors it. Walk again.
+        NodeId anchor = x;
+        if (chained(x)) {
+          for (NodeId y = pred(x); y != x; y = pred(y)) {
+            anchor = std::min(anchor, y);
+          }
+        }
+        link[anchor] = {anchor, 0, 0.0};
+        done[anchor] = 1;
+        continue;
+      }
+      for (auto it = path.rbegin(); it != path.rend(); ++it) {
+        const EdgeId e = g.in_edges(*it)[0];
+        const Link& up = link[g.src(e)];
+        link[*it] = {up.anchor, up.tokens + tgmg.tokens(e),
+                     up.delay + tgmg.delay(*it)};
+        done[*it] = 1;
+      }
+    }
+  }
 
   ThroughputLp out;
   lp::Model& model = out.model;
   model.set_sense(lp::Sense::kMaximize);
   const int phi = model.add_col(0.0, lp::kInf, 1.0, false, "phi");
   out.phi_col = phi;
-  std::vector<int> sigma(tgmg.num_nodes());
-  for (NodeId n = 0; n < tgmg.num_nodes(); ++n) {
+  std::vector<int> sigma(num_nodes, -1);
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    if (link[n].anchor != n) continue;
     sigma[n] = model.add_col(-lp::kInf, lp::kInf, 0.0, false,
                              "sigma_" + tgmg.name(n));
   }
-  if (!sigma.empty()) {
-    // Pin the translation freedom of the firing counts.
-    model.set_col_bounds(sigma[0], 0.0, 0.0);
-  }
+  // Pin the translation freedom of the firing counts at the
+  // lowest-numbered anchor.
+  if (model.num_cols() > 1) model.set_col_bounds(phi + 1, 0.0, 0.0);
 
-  for (NodeId n = 0; n < tgmg.num_nodes(); ++n) {
-    if (g.in_degree(n) == 0) continue;
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    if (sigma[n] < 0 || g.in_degree(n) == 0) continue;
     if (!tgmg.is_early(n)) {
-      // delta(n) phi - sigma(u) + sigma(n) <= m0(e) for each input edge.
+      // (delta(n) + D) phi - sigma(a) + sigma(n) <= m0(e) + T for each
+      // input edge e = (u, n), u on a chain of delay D and tokens T
+      // from anchor a.
       for (EdgeId e : g.in_edges(n)) {
-        model.add_row(-lp::kInf, static_cast<double>(tgmg.tokens(e)),
-                      {{phi, tgmg.delay(n)},
-                       {sigma[g.src(e)], -1.0},
+        const Link& up = link[g.src(e)];
+        model.add_row(-lp::kInf,
+                      static_cast<double>(tgmg.tokens(e) + up.tokens),
+                      {{phi, tgmg.delay(n) + up.delay},
+                       {sigma[up.anchor], -1.0},
                        {sigma[n], 1.0}},
                       "mg_" + std::to_string(e));
       }
     } else {
-      // delta(n) phi <= sum_e gamma(e) (m0(e) + sigma(u) - sigma(n)).
-      std::vector<lp::ColEntry> entries{{phi, tgmg.delay(n)}};
+      // delta(n) phi <= sum_e gamma(e) (m0(e) + sigma(u) - sigma(n)),
+      // with each sigma(u) replaced by its chain's anchor expression.
+      double phi_coef = tgmg.delay(n);
       double rhs = 0.0;
+      std::vector<lp::ColEntry> entries;
       for (EdgeId e : g.in_edges(n)) {
-        rhs += tgmg.gamma(e) * static_cast<double>(tgmg.tokens(e));
-        entries.push_back({sigma[g.src(e)], -tgmg.gamma(e)});
+        const Link& up = link[g.src(e)];
+        phi_coef += tgmg.gamma(e) * up.delay;
+        rhs += tgmg.gamma(e) *
+               static_cast<double>(tgmg.tokens(e) + up.tokens);
+        entries.push_back({sigma[up.anchor], -tgmg.gamma(e)});
         entries.push_back({sigma[n], tgmg.gamma(e)});
       }
+      entries.push_back({phi, phi_coef});
       model.add_row(-lp::kInf, rhs, std::move(entries),
                     "ee_" + tgmg.name(n));
     }
@@ -193,10 +260,13 @@ ThroughputLp build_throughput_lp(const Tgmg& tgmg) {
 ThroughputBound tgmg_throughput_bound(const Tgmg& tgmg) {
   const lp::Model model = build_throughput_lp(tgmg).model;
   lp::MilpResult result = lp::solve_milp(model);
-  if (result.status == lp::MilpStatus::kNumericError) {
-    // Dense models occasionally defeat the default tolerances after
-    // thousands of tableau pivots; one retry with a coarser feasibility
-    // tolerance and a stricter pivot threshold clears them in practice.
+  if (result.status != lp::MilpStatus::kOptimal &&
+      result.status != lp::MilpStatus::kUnbounded) {
+    // phi = 0 is feasible (validate() proved the marking live), so any
+    // other verdict is numeric trouble. Dense models occasionally defeat
+    // the default tolerances after thousands of tableau pivots; one
+    // retry with a coarser feasibility tolerance and a stricter pivot
+    // threshold clears them in practice.
     lp::MilpOptions retry;
     retry.lp.feas_tol = 1e-6;
     retry.lp.pivot_tol = 1e-8;

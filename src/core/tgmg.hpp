@@ -79,9 +79,21 @@ struct ThroughputBound {
 };
 ThroughputBound tgmg_throughput_bound(const Tgmg& tgmg);
 
-/// The LP of eq. (4) as a model (phi is column `phi_col`; maximization).
-/// Exposed for export/interop (e.g. `elrr export --format mps` re-solves
-/// the bound with an external solver).
+/// The LP of eq. (4) as a model (phi is column `phi_col`; maximization),
+/// contracted: a *chained* node -- simple, with exactly one input edge
+/// e = (u, n) that is not a self-loop -- keeps no firing count. Its
+/// sigma(n) has a positive coefficient only in e's row, so eliminating it
+/// (Fourier-Motzkin) substitutes its tight value sigma(u) + m0(e) -
+/// delta(n) phi; the LP's optimum is unchanged. Every chain thus collapses
+/// onto an *anchor*, the nodes whose sigma remain: early nodes, nodes
+/// with zero or several inputs, nodes fed by a self-loop, and the
+/// lowest-numbered node of each ring of chained nodes. One row per input
+/// edge of a simple anchor (one per early anchor) carries its chain's
+/// summed delays in its phi coefficient and the summed tokens in its
+/// bound; a telescopic throttle becomes (1 + delta(n)) phi <= 1. The
+/// lowest-numbered anchor's sigma is pinned at 0. `validate()` runs on
+/// the full TGMG. Exposed for export/interop (`elrr export --format mps`
+/// writes this LP for re-solving with an external solver).
 struct ThroughputLp {
   lp::Model model;
   int phi_col = 0;

@@ -18,9 +18,12 @@ namespace elrr::flow {
 
 // Every probe scores one configuration: on the late-evaluation (all
 // simple) heuristic a certified Howard cycle ratio, on the early one a
-// throughput LP of about two rows per edge whose sparse pivots skip the
-// zeros. Both cost far less than a dense tableau would; the budgets
-// below still stay where they are, because a larger budget visits more
+// throughput LP whose chains of single-input nodes are contracted away
+// (one row per input edge of the remaining nodes: 305 rows on s953,
+// where the refined TGMG has 712 edges), and its sparse pivots skip the
+// zeros.
+// Both cost far less than a dense tableau would; the budgets below
+// still stay where they are, because a larger budget visits more
 // candidates and so changes the answers.
 HeuristicOptions scaled_heuristic(const Rrg& rrg) {
   HeuristicOptions hopt;

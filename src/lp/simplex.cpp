@@ -127,17 +127,24 @@ std::int64_t SimplexSolver::iteration_budget() const {
   return std::max<std::int64_t>(20000, 200LL * (m_ + n_));
 }
 
-void SimplexSolver::build_initial_basis() {
+void SimplexSolver::load_slack_tableau() {
   // Slack basis: B = -I, hence tab = B^-1 [A|-I] = [-A | I].
   tab_.assign(static_cast<std::size_t>(m_) * total_, 0.0);
+  basis_.resize(m_);
   for (int i = 0; i < m_; ++i) {
     for (int k = a_start_[i]; k < a_start_[i + 1]; ++k) {
       tab(i, a_entries_[k].col) = -a_entries_[k].coef;
     }
     tab(i, n_ + i) = 1.0;
+    basis_[i] = n_ + i;
   }
+  dj_valid_ = false;
+  bland_ = false;
+  degenerate_streak_ = 0;
+}
 
-  basis_.resize(m_);
+void SimplexSolver::build_initial_basis() {
+  load_slack_tableau();
   where_.assign(total_, Where::kAtLower);
   value_.assign(total_, 0.0);
   for (int j = 0; j < total_; ++j) {
@@ -156,7 +163,6 @@ void SimplexSolver::build_initial_basis() {
   // same column order, as a scan of the tableau row [-A | I].
   for (int i = 0; i < m_; ++i) {
     const int slack = n_ + i;
-    basis_[i] = slack;
     where_[slack] = Where::kBasic;
     double acc = 0.0;
     for (int k = a_start_[i]; k < a_start_[i + 1]; ++k) {
@@ -165,9 +171,6 @@ void SimplexSolver::build_initial_basis() {
     }
     value_[slack] = -acc;
   }
-  dj_valid_ = false;
-  bland_ = false;
-  degenerate_streak_ = 0;
 }
 
 void SimplexSolver::compute_reduced_costs() {
@@ -207,6 +210,7 @@ bool SimplexSolver::is_dual_feasible() const {
 // its row need not be updated.
 void SimplexSolver::gather_column(int col) {
   col_nz_.clear();
+  if (m_ == 0) return;  // no tableau to point into
   const double* entry = &tab_[static_cast<std::size_t>(col)];
   for (int i = 0; i < m_; ++i, entry += total_) {
     if (!potential_[basis_[i]] && *entry != 0.0) col_nz_.push_back(i);
@@ -257,6 +261,51 @@ void SimplexSolver::pivot(int row, int col) {
   basis_[row] = col;
   where_[col] = Where::kBasic;
   ++iterations_;
+}
+
+// Gauss-Jordan from the slack tableau [-A | I]: each basic structural
+// column is pivoted into the free row (one whose slack is not basic)
+// where its entry is largest. The pivots reuse pivot(), so dead rows
+// stay dead, but they are not simplex iterations and are not counted.
+bool SimplexSolver::refactor() {
+  const std::vector<int> target = basis_;
+  const std::int64_t iterations = iterations_;
+  load_slack_tableau();
+  for (const int col : target) {
+    if (col >= n_) continue;  // a basic slack keeps its own row
+    gather_column(col);
+    int row = -1;
+    double best = kRatioEps;
+    for (const int i : col_nz_) {
+      const int k = basis_[i];
+      if (k < n_ || where_[k] == Where::kBasic) continue;  // row taken
+      if (std::abs(tab(i, col)) > best) {
+        best = std::abs(tab(i, col));
+        row = i;
+      }
+    }
+    if (row == -1) {
+      // Numerically singular basis: leave a consistent slack tableau.
+      build_initial_basis();
+      iterations_ = iterations;
+      return false;
+    }
+    pivot(row, col);
+  }
+  iterations_ = iterations;
+  for (int i = 0; i < m_; ++i) {
+    const int k = basis_[i];
+    if (potential_[k]) continue;  // dead row: its value is never read
+    const double* row = &tab_[static_cast<std::size_t>(i) * total_];
+    double acc = 0.0;
+    for (int j = 0; j < total_; ++j) {
+      if (row[j] != 0.0 && where_[j] != Where::kBasic) {
+        acc += row[j] * value_[j];
+      }
+    }
+    value_[k] = -acc;
+  }
+  return true;
 }
 
 double SimplexSolver::infeasibility() const {
@@ -625,15 +674,20 @@ LpResult SimplexSolver::solve() {
     compute_reduced_costs();
     status = primal_phase2(deadline);
   }
-  // Phase 2 pivots may push a basic variable slightly out of bounds via
+  // Phase 2 pivots may push a basic variable out of bounds via
   // accumulated error (the explicit tableau drifts over thousands of
-  // pivots on dense models). Repair by re-running phase 1 from the
-  // current basis -- it restores feasibility in a few pivots -- and
-  // re-optimizing; declare a numeric error only if two repairs fail.
+  // pivots on dense models). Repair by rebuilding the tableau of the
+  // current basis, so the values are no longer drifted, then re-running
+  // phase 1 from that basis -- it restores feasibility in a few pivots --
+  // and re-optimizing; declare a numeric error only if two repairs fail.
   for (int repair = 0;
        repair < 2 && status == LpStatus::kOptimal &&
        infeasibility() > 64 * options_.feas_tol;
        ++repair) {
+    if (!refactor()) {
+      status = LpStatus::kNumericError;
+      break;
+    }
     status = primal_phase1(deadline);
     if (status == LpStatus::kOptimal) {
       compute_reduced_costs();

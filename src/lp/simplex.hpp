@@ -43,6 +43,13 @@
 ///    answers are bit-identical; the potentials' values are not kept
 ///    (x reports NaN), and `set_col_bounds` refuses to bound one, which
 ///    would revive its stale row.
+///  * Drift repair: when phase 2 ends with the basics out of bounds by
+///    more than 64 feas_tol in total, `solve()` first rebuilds the
+///    tableau of the current basis from the row-stored matrix
+///    (`refactor`, Gauss-Jordan with partial pivoting from the slack
+///    tableau) and recomputes the basic values, then re-runs phase 1 and
+///    phase 2. Repairing from the drifted values alone could end a
+///    feasible LP as infeasible or numeric.
 ///  * Memory: the original matrix is kept by rows (only the tableau is
 ///    dense), and the tableau lives in page-mapped blocks outside the
 ///    malloc heap (detail::TableauAllocator). A heuristic probe builds
@@ -51,7 +58,8 @@
 ///
 /// Suitable for the medium-size LPs and MILPs of the DAC'09 flow
 /// (hundreds to a few thousands of rows). Not a sparse industrial code:
-/// the tableau stays m x (n + m) and is never refactorized.
+/// the tableau stays m x (n + m) and is refactorized only to repair
+/// drift.
 
 #include <cstddef>
 #include <cstdint>
@@ -213,6 +221,9 @@ class SimplexSolver {
   double tab(int i, int j) const { return tab_[static_cast<std::size_t>(i) * total_ + j]; }
 
   void set_bounds_impl(int idx, double lo, double hi);
+  /// tab_ = [-A | I] with every slack basic in its own row; where_ and
+  /// value_ are left as they are.
+  void load_slack_tableau();
   void build_initial_basis();
   void compute_reduced_costs();
   bool is_dual_feasible() const;
@@ -225,6 +236,10 @@ class SimplexSolver {
   void pivot(int row, int col);
   double infeasibility() const;
   bool farkas_certifies(int row) const;
+  /// Rebuilds tab_ = B^-1 [A | -I] for the current basis from the
+  /// row-stored matrix and recomputes the basic values from the nonbasic
+  /// ones. False (slack basis restored) when the basis is singular.
+  bool refactor();
 
   // Phase drivers; return a status restricted to
   // {kOptimal = subproblem solved, kInfeasible, kUnbounded, limits}.

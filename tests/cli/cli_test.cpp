@@ -12,7 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "bench89/generator.hpp"
+#include "core/tgmg.hpp"
 #include "io/rrg_format.hpp"
+#include "lp/milp.hpp"
+#include "lp/mps.hpp"
 #include "obs/trace.hpp"
 
 namespace elrr::cli {
@@ -124,6 +128,23 @@ TEST(Cli, ExportFormats) {
   const CliResult bad =
       run_cli({"export", "--circuit", "s208", "--format", "png"});
   EXPECT_EQ(bad.code, 1);
+  EXPECT_NE(bad.err.find("(rrg|json|dot|tgmg-dot|mps|verilog)"),
+            std::string::npos)
+      << bad.err;
+}
+
+TEST(Cli, ExportMpsIsTheContractedThroughputLp) {
+  const CliResult r =
+      run_cli({"export", "--circuit", "s344", "--format", "mps"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const lp::Model exported = lp::from_mps(r.out);
+  const Rrg rrg = bench89::make_table2_rrg(bench89::spec_by_name("s344"), 1);
+  const lp::Model contracted = build_throughput_lp(refined_tgmg(rrg)).model;
+  EXPECT_EQ(exported.num_rows(), contracted.num_rows());
+  EXPECT_EQ(exported.num_cols(), contracted.num_cols());
+  const lp::MilpResult solved = lp::solve_milp(exported);
+  ASSERT_EQ(solved.status, lp::MilpStatus::kOptimal);
+  EXPECT_NEAR(solved.objective, throughput_upper_bound(rrg), 1e-9);
 }
 
 TEST(Cli, SizeFifos) {

@@ -290,9 +290,9 @@ struct WalkTree {
 };
 
 const WalkTree kWalkTrees[] = {
-    {"s208", 183, 24.942176249120333, 5202},
-    {"s420", 449, 55.077654747122189, 11185},
-    {"s838", 204, 27.693514165189313, 3919},
+    {"s208", 177, 24.94217624912034, 5048},
+    {"s420", 450, 55.077654747122189, 11229},
+    {"s838", 204, 27.693514165189313, 3920},
 };
 
 TEST(MilpSession, FullWalksKeepTheirSearchTrees) {

@@ -396,8 +396,9 @@ TEST(SimplexCertificate, EveryInfeasibleResolveIsInfeasibleFromScratch) {
 // of the entering column; every nonzero entry must still see exactly the
 // floating-point operations, in the same order, that the full dense
 // update gave it. A cold solve's theta and iteration count are
-// functions of every one of those operations, so they are pinned to the
-// values the dense kernel produced.
+// functions of every one of those operations, so they are pinned
+// exactly. The LPs are the contracted ones build_throughput_lp gives
+// (chain firing counts eliminated).
 
 std::string hex(double value) {
   char buf[40];
@@ -418,12 +419,12 @@ TEST(SimplexPinned, ThroughputLpsOfTheHeuristicsLargestCircuits) {
   // and with one empty buffer added on every fifth edge, which pulls
   // theta below 1 the way the heuristic's bubble insertion does.
   const ThroughputPin pins[] = {
-      {"s953", false, 0x1p+0, 362},
-      {"s641", false, 0x1p+0, 160},
-      {"s344", false, 0x1p+0, 243},
-      {"s953", true, 0x1.28675340f499cp-2, 538},
-      {"s641", true, 0x1.5555555555556p-2, 262},
-      {"s344", true, 0x1.ca10e6f8c4705p-2, 241},
+      {"s953", false, 0x1p+0, 97},
+      {"s641", false, 0x1p+0, 30},
+      {"s344", false, 0x1p+0, 32},
+      {"s953", true, 0x1.28675340f49c9p-2, 162},
+      {"s641", true, 0x1.5555555555555p-2, 38},
+      {"s344", true, 0x1.ca10e6f8c4705p-2, 60},
   };
   for (const ThroughputPin& pin : pins) {
     const Rrg rrg =

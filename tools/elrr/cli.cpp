@@ -390,7 +390,9 @@ int cmd_export(Args& args, std::ostream& out) {
     text = refined_tgmg(in.rrg).to_dot();
   } else if (format == "mps") {
     // The throughput-bound LP (eq. 4/11) of the refined TGMG, for
-    // cross-checking Theta_lp with an external solver.
+    // cross-checking Theta_lp with an external solver. It is the
+    // contracted LP build_throughput_lp gives (no firing counts for
+    // chained nodes), whose optimum is the full LP's.
     text = lp::to_mps(build_throughput_lp(refined_tgmg(in.rrg)).model,
                       in.name);
   } else if (format == "verilog") {
@@ -398,7 +400,7 @@ int cmd_export(Args& args, std::ostream& out) {
     text = elastic::emit_verilog(in.rrg, vopt);
   } else {
     throw InvalidInputError("unknown --format '" + format +
-                            "' (rrg|json|dot|tgmg-dot|verilog)");
+                            "' (rrg|json|dot|tgmg-dot|mps|verilog)");
   }
   if (output.has_value()) {
     io::save_text_file(*output, text);
